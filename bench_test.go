@@ -580,17 +580,17 @@ func BenchmarkF5_Scatter2Shards(b *testing.B) { benchScatter(b, 2) }
 func BenchmarkF5_Scatter4Shards(b *testing.B) { benchScatter(b, 4) }
 
 // ---------------------------------------------------------------------------
-// F8 — distributed GOLEM (DESIGN.md §6): scatter an exact enrichment over N
-// loopback shard daemons, each tallying its ownership-group word range of
-// the F4c fixture's 6k-gene arena, and merge the integer counts into the
-// full hypergeometric analysis. Unlike F5's dataset scan, the distributed
-// tally is cheap next to the fixed per-group overhead (HTTP + gob + the
-// centralized p-value math in MergeCounts), so sec/op across shard counts
-// tracks the scatter round-trip itself — this family gates regressions in
-// the fleet enrichment path, it is not a linear-scaling demonstration.
-// Shard partial caches are disabled (16-byte budget) so every iteration
-// pays the real tally; the coordinator's term-catalog fetch is cached per
-// membership generation, amortized across iterations as in production.
+// F8 — distributed GOLEM (DESIGN.md §6): answer an exact enrichment from a
+// fleet of N loopback shard daemons — one whole-background request to one
+// shard, tallying the F4c fixture's 6k-gene arena, merged into the full
+// hypergeometric analysis on the coordinator. The tally is cheap next to
+// the fixed request overhead (HTTP + gob + the centralized p-value math in
+// MergeCounts), so sec/op tracks that one round trip and should stay flat
+// across shard counts — this family gates regressions in the fleet
+// enrichment path, it is not a scaling demonstration. Shard partial caches
+// are disabled (16-byte budget) so every iteration pays the real tally;
+// the coordinator's term-catalog fetch is cached per membership
+// generation, amortized across iterations as in production.
 
 func newEnrichScatterBench(b *testing.B, nShards int) *shard.Coordinator {
 	b.Helper()

@@ -54,11 +54,11 @@ func TestSmokeProfileShard2Fleet(t *testing.T) {
 				t.Fatalf("search envelope without cache disposition: %+v", e)
 			}
 		case "enrich":
-			// Both shards own datasets at R=1, so the enrich scatter has
-			// two single-owner groups and both shards contribute tallies.
+			// One shard serves the whole background in one request, so
+			// exactly one shard contributes tallies.
 			enriches++
-			if e.ShardsOK != 2 || e.ShardsTotal != 2 || e.Degraded {
-				t.Fatalf("enrich envelope shard tally %d/%d degraded=%t, want 2/2 false: %+v",
+			if e.ShardsOK != 1 || e.ShardsTotal != 2 || e.Degraded {
+				t.Fatalf("enrich envelope shard tally %d/%d degraded=%t, want 1/2 false: %+v",
 					e.ShardsOK, e.ShardsTotal, e.Degraded, e)
 			}
 			if e.Cache == "" {

@@ -340,22 +340,32 @@ func (s *Server) handleShardDrain(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// pushHandoff derives the post-drain ownership groups and pushes one
-// HandoffRequest to every successor replica: for each tracked hot query ×
-// each group, a gob body when this shard holds the *whole* group (the
-// partial is then byte-identical to what the receiver would compute), or
-// a bodyless entry telling the receiver to recompute locally. Enrichment
-// slices are data-independent, so their bodies are always valid on any
-// capable receiver.
+// pushHandoff pushes one HandoffRequest to every successor replica. Each
+// tracked hot query goes out once per post-drain ownership group, to that
+// group's owners: with a gob body when this shard holds the *whole* group
+// (the partial is then byte-identical to what the receiver would compute),
+// bodyless otherwise, telling the receiver to recompute locally. Each hot
+// enrichment selection goes out once, as the whole-background partial a
+// coordinator asks for, to every target member: background tallies are
+// data-independent, so the body is valid on any capable receiver.
 func (s *Server) pushHandoff(ctx context.Context, st *shardState, target []string, repl int) (pushed, replayed int64, errs []string) {
 	warm := s.warm.snapshot()
 	if len(warm) == 0 {
 		return 0, 0, nil
 	}
 	gen := shard.Generation(target)
-	groups := shard.Groups(s.cfg.ShardDatasetIDs, target, repl)
 	batches := make(map[string][]shard.HandoffEntry, len(target))
-	for _, owners := range groups {
+	add := func(e shard.HandoffEntry, to []string) {
+		for _, owner := range to {
+			batches[owner] = append(batches[owner], e)
+		}
+		if e.Body != nil {
+			pushed += int64(len(to))
+		} else {
+			replayed += int64(len(to))
+		}
+	}
+	for _, owners := range shard.Groups(s.cfg.ShardDatasetIDs, target, repl) {
 		heldAll := true
 		for _, gi := range shard.GroupIndexes(s.cfg.ShardDatasetIDs, target, repl, owners) {
 			if _, ok := st.local[gi]; !ok {
@@ -364,34 +374,24 @@ func (s *Server) pushHandoff(ctx context.Context, st *shardState, target []strin
 			}
 		}
 		for _, e := range warm {
-			var body []byte
-			switch e.kind {
-			case shard.CapabilitySearch:
-				if heldAll {
-					body, _, _ = s.partialGroupSearch(ctx, e.ids, &shard.SearchRequest{
-						Query: e.ids, Shards: target, Replication: repl, Owners: owners,
-					})
-				}
-			case shard.CapabilityEnrich:
-				if s.cfg.Enricher == nil {
-					continue
-				}
-				body, _, _ = s.partialEnrich(ctx, e.ids, &shard.EnrichRequest{
-					Selection: e.ids, Shards: target, Replication: repl, Owners: owners,
-				})
-			default:
+			if e.kind != shard.CapabilitySearch {
 				continue
 			}
-			entry := shard.HandoffEntry{Kind: e.kind, Query: e.ids, Owners: owners, Body: body}
-			for _, owner := range owners {
-				batches[owner] = append(batches[owner], entry)
+			var body []byte
+			if heldAll {
+				body, _, _ = s.partialGroupSearch(ctx, e.ids, &shard.SearchRequest{
+					Query: e.ids, Shards: target, Replication: repl, Owners: owners,
+				})
 			}
-			if body != nil {
-				pushed += int64(len(owners))
-			} else {
-				replayed += int64(len(owners))
-			}
+			add(shard.HandoffEntry{Kind: e.kind, Query: e.ids, Owners: owners, Body: body}, owners)
 		}
+	}
+	for _, e := range warm {
+		if e.kind != shard.CapabilityEnrich || s.cfg.Enricher == nil {
+			continue
+		}
+		body, _, _ := s.partialEnrich(ctx, e.ids, &shard.EnrichRequest{Selection: e.ids})
+		add(shard.HandoffEntry{Kind: e.kind, Query: e.ids, Body: body}, target)
 	}
 
 	resolve := s.cfg.ShardResolve
@@ -518,11 +518,14 @@ const (
 // partial locally (filling the same key through the normal cached path).
 func (s *Server) acceptHandoffEntry(ctx context.Context, st *shardState, req *shard.HandoffRequest, e *shard.HandoffEntry) handoffOutcome {
 	ids := spell.CanonicalQuery(e.Query)
-	if len(ids) == 0 || len(e.Owners) == 0 {
+	if len(ids) == 0 {
 		return handoffSkipped
 	}
 	switch e.Kind {
 	case shard.CapabilitySearch:
+		if len(e.Owners) == 0 {
+			return handoffSkipped
+		}
 		sreq := &shard.SearchRequest{Query: ids, Shards: req.Shards, Replication: req.Replication, Owners: e.Owners}
 		if s.searchBodyMatches(st, sreq, e.Body) {
 			s.cache.Put(groupSearchKey(sreq, ids), e.Body, int64(len(e.Body))+64)
@@ -536,7 +539,7 @@ func (s *Server) acceptHandoffEntry(ctx context.Context, st *shardState, req *sh
 			return handoffSkipped
 		}
 		ereq := &shard.EnrichRequest{Selection: ids, Shards: req.Shards, Replication: req.Replication, Owners: e.Owners}
-		if s.enrichBodyMatches(req, e) {
+		if s.enrichBodyMatches(ereq, e.Body) {
 			s.cache.Put(groupEnrichKey(ereq, ids), e.Body, int64(len(e.Body))+64)
 			return handoffAccepted
 		}
@@ -579,22 +582,19 @@ func (s *Server) searchBodyMatches(st *shardState, sreq *shard.SearchRequest, bo
 }
 
 // enrichBodyMatches reports whether a pushed enrichment partial is the
-// slice this shard would compute: same kernel fingerprint, and the
-// slice/slices pair the group derivation assigns to the entry's owners.
+// slice this shard would compute for the entry: same kernel fingerprint,
+// and the slice/slices pair the request names — 0 of 1 for a
+// whole-background entry, the group derivation's for an owner-bearing one.
 // Slice tallies are data-independent, so fingerprint + slice identity is
 // the whole contract.
-func (s *Server) enrichBodyMatches(req *shard.HandoffRequest, e *shard.HandoffEntry) bool {
-	if e.Body == nil {
+func (s *Server) enrichBodyMatches(ereq *shard.EnrichRequest, body []byte) bool {
+	if body == nil {
 		return false
 	}
 	var p golem.PartialCounts
-	if err := gob.NewDecoder(bytes.NewReader(e.Body)).Decode(&p); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&p); err != nil {
 		return false
 	}
-	if p.Fingerprint != s.cfg.Enricher.Fingerprint() {
-		return false
-	}
-	groups := shard.Groups(s.cfg.ShardDatasetIDs, req.Shards, req.Replication)
-	gi := shard.GroupIndex(groups, e.Owners)
-	return gi >= 0 && p.Slice == gi && p.Slices == len(groups)
+	gi, slices := s.enrichSlice(ereq)
+	return p.Fingerprint == s.cfg.Enricher.Fingerprint() && gi >= 0 && p.Slice == gi && p.Slices == slices
 }

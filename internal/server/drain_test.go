@@ -20,21 +20,22 @@ import (
 
 // drainTopology is a drain-capable shard fleet in-process: every shard
 // boots with its fleet identity, the full membership view, a dataset
-// loader over the shared compendium, and the admin token — everything a
-// rolling restart needs.
+// loader over the shared compendium, the shared ontology, and the admin
+// token — everything a rolling restart needs.
 type drainTopology struct {
-	dss     []*microarray.Dataset
-	names   []string // global dataset catalog
-	shards  []string // fleet identities
-	servers []*httptest.Server
-	srv     []*Server
-	query   []string
-	drained chan string // OnDrained pings, by shard identity
+	dss       []*microarray.Dataset
+	names     []string // global dataset catalog
+	shards    []string // fleet identities
+	servers   []*httptest.Server
+	srv       []*Server
+	query     []string
+	selection []string    // an enrichment selection over the universe
+	drained   chan string // OnDrained pings, by shard identity
 }
 
 const drainToken = "sesame"
 
-func newDrainTopology(t *testing.T, nShards, repl int) *drainTopology {
+func newDrainTopology(t testing.TB, nShards, repl int) *drainTopology {
 	t.Helper()
 	u := synth.NewUniverse(200, 8, 71)
 	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
@@ -51,8 +52,9 @@ func newDrainTopology(t *testing.T, nShards, repl int) *drainTopology {
 	}
 	top := &drainTopology{
 		dss: dss, names: names, shards: shardNames,
-		query:   u.ModuleGeneIDs(2)[:4],
-		drained: make(chan string, nShards),
+		query:     u.ModuleGeneIDs(2)[:4],
+		selection: u.ModuleGeneIDs(3),
+		drained:   make(chan string, nShards),
 	}
 	urls := make(map[string]string, nShards)
 	for si, self := range shardNames {
@@ -68,6 +70,7 @@ func newDrainTopology(t *testing.T, nShards, repl int) *drainTopology {
 		}
 		ss, err := New(Config{
 			Engine:           se,
+			Enricher:         topologyEnricher(t, u),
 			ShardIndexes:     owned,
 			ShardDatasetIDs:  names,
 			ShardSelf:        self,
@@ -111,6 +114,22 @@ func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	var buf bytes.Buffer
 	_, _ = buf.ReadFrom(resp.Body)
 	return resp, buf.Bytes()
+}
+
+// shardEnrich posts one shard enrich request and returns the response plus
+// its cache disposition header.
+func shardEnrich(t *testing.T, url string, req shard.EnrichRequest) (*http.Response, string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+shard.EnrichPath, shard.ContentType, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp, resp.Header.Get(cacheHeader)
 }
 
 // shardSearch posts one shard search request and returns the response plus
@@ -256,6 +275,44 @@ func TestShardDrainWarmHandoff(t *testing.T) {
 	case id := <-top.drained:
 		t.Fatalf("repeat drain re-fired OnDrained (%q)", id)
 	default:
+	}
+}
+
+// TestShardDrainEnrichHandoff: a drained shard pushes each warm enrichment
+// once, as the whole-background partial a coordinator asks for, to every
+// survivor; each survivor accepts the body verbatim and answers its first
+// whole-background request for the selection as a cache hit.
+func TestShardDrainEnrichHandoff(t *testing.T) {
+	top := newDrainTopology(t, 3, 2)
+	whole := shard.EnrichRequest{Selection: top.selection}
+	if resp, disp := shardEnrich(t, top.servers[0].URL, whole); resp.StatusCode != http.StatusOK || disp != dispMiss {
+		t.Fatalf("warming enrich = %d/%s", resp.StatusCode, disp)
+	}
+	fleetBody := `{"shards":["shard-1","shard-2"],"replication":2}`
+	for _, si := range []int{1, 2} {
+		if resp, body := postJSON(t, top.servers[si].URL+shard.ShardFleetPath, fleetBody); resp.StatusCode != http.StatusOK {
+			t.Fatalf("survivor %d reload = %d: %s", si, resp.StatusCode, body)
+		}
+	}
+	resp, body := postJSON(t, top.servers[0].URL+shard.DrainPath, fleetBody)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("drain = %d: %s", resp.StatusCode, body)
+	}
+	var dr drainResponse
+	if err := json.Unmarshal(body, &dr); err != nil {
+		t.Fatal(err)
+	}
+	// One whole-background entry, with its body, per survivor.
+	if dr.Pushed != 2 || dr.Replayed != 0 || len(dr.PushErrors) != 0 {
+		t.Fatalf("drain response: %+v", dr)
+	}
+	for _, si := range []int{1, 2} {
+		if h := top.srv[si].Stats().Shard.Handoff; h.Accepted != 1 || h.Recomputed != 0 || h.RefusedStale != 0 {
+			t.Fatalf("survivor %d handoff: %+v", si, h)
+		}
+		if resp, disp := shardEnrich(t, top.servers[si].URL, whole); resp.StatusCode != http.StatusOK || disp != dispHit {
+			t.Fatalf("post-drain enrich on survivor %d = %d/%s, want 200/hit", si, resp.StatusCode, disp)
+		}
 	}
 }
 

@@ -250,9 +250,6 @@ func (s *Server) writeEnrichError(w http.ResponseWriter, r *http.Request, err er
 		// booted without an ontology, same code.
 		s.statEnrich.rejected.Add(1)
 		s.writeJSONError(w, http.StatusServiceUnavailable, codeNoOntology, err.Error())
-	case errors.Is(err, shard.ErrDegradedUnresolved):
-		s.statEnrich.rejected.Add(1)
-		s.writeJSONError(w, http.StatusServiceUnavailable, codeDegradedUnresolved, err.Error())
 	case errors.Is(err, shard.ErrAllShardsFailed):
 		s.statEnrich.rejected.Add(1)
 		s.writeJSONError(w, http.StatusServiceUnavailable, codeAllShardsFailed, err.Error())

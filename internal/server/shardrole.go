@@ -192,12 +192,12 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 
 // handleShardEnrich serves POST /api/shard/v1/enrich: a gob
 // shard.EnrichRequest in, a gob golem.PartialCounts out — the integer
-// tallies of this request's background slice. The slice index is
-// re-derived from the request's (shards, replication, owners) through the
-// same pure Groups function the coordinator used, so both sides always
-// agree on which gene range slice gi covers. Mounted only on shards with
-// an enricher; a capability-less shard 404s, which the coordinator reads
-// as "unsupported" and fails over.
+// tallies of the requested background slice. A coordinator asks for the
+// whole background (no Owners: slice 0 of 1); an owner-bearing request
+// names slice gi of G through the same pure Groups derivation older
+// coordinators used, and keeps being served for mixed-version fleets.
+// Mounted only on shards with an enricher; a capability-less shard 404s,
+// which the coordinator reads as "unsupported" and fails over.
 func (s *Server) handleShardEnrich(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeJSONError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST a gob-encoded shard enrich request")
@@ -238,31 +238,40 @@ func (s *Server) handleShardEnrich(w http.ResponseWriter, r *http.Request) {
 }
 
 // groupEnrichKey is the cache key of one background slice's tallies, kept
-// in lockstep with partialEnrich for the handoff receiver's inserts.
+// in lockstep with partialEnrich for the handoff receiver's inserts. The
+// whole background is the same slice under every topology, so its key
+// carries none.
 func groupEnrichKey(req *shard.EnrichRequest, sel []string) string {
+	if len(req.Owners) == 0 {
+		return "epartial\x1fwhole\x1f" + joinIDs(sel)
+	}
 	return fmt.Sprintf("epartial\x1f%016x\x1f%d\x1f%s\x1f%s",
 		shard.Generation(req.Shards), req.Replication, joinIDs(req.Owners), joinIDs(sel))
 }
 
+// enrichSlice resolves the background slice a request names: the whole
+// universe (0 of 1) without Owners, else the owner tuple's position gi in
+// the G groups of this catalog (gi = -1 for a tuple that is no group).
+func (s *Server) enrichSlice(req *shard.EnrichRequest) (gi, slices int) {
+	if len(req.Owners) == 0 {
+		return 0, 1
+	}
+	groups := shard.Groups(s.cfg.ShardDatasetIDs, req.Shards, req.Replication)
+	return shard.GroupIndex(groups, req.Owners), len(groups)
+}
+
 // partialEnrich computes (or serves cached) the slice tallies for one
-// canonical selection, already gob-encoded like the search partials. The
-// cache key carries the topology generation, replication factor and owner
-// tuple: after a membership change the group list re-derives and stale
-// slice tallies become unreachable rather than wrong.
+// canonical selection, already gob-encoded like the search partials. A
+// group-scoped key carries the topology generation, replication factor
+// and owner tuple: after a membership change the group list re-derives and
+// stale slice tallies become unreachable rather than wrong.
 func (s *Server) partialEnrich(ctx context.Context, sel []string, req *shard.EnrichRequest) ([]byte, string, error) {
 	key := groupEnrichKey(req, sel)
 	wireCost := func(v any) int64 { return int64(len(v.([]byte))) + 64 }
 	v, disp, err := s.cachedDoRetry(ctx, &s.statShard, key, wireCost, func() (any, error) {
-		// An ownerless request asks for the whole universe as slice 0 of 1
-		// (a single-shard or testing topology).
-		gi, slices := 0, 1
-		if len(req.Owners) > 0 {
-			groups := shard.Groups(s.cfg.ShardDatasetIDs, req.Shards, req.Replication)
-			gi = shard.GroupIndex(groups, req.Owners)
-			if gi < 0 {
-				return nil, fmt.Errorf("owner tuple %v is not an ownership group of this catalog", req.Owners)
-			}
-			slices = len(groups)
+		gi, slices := s.enrichSlice(req)
+		if gi < 0 {
+			return nil, fmt.Errorf("owner tuple %v is not an ownership group of this catalog", req.Owners)
 		}
 		p, perr := s.cfg.Enricher.PartialAnalyzeCtx(ctx, sel, gi, slices)
 		if perr != nil {
@@ -353,13 +362,11 @@ func enrichScatterCost(v any) int64 {
 	return n
 }
 
-// scatterEnrich is handleEnrich's coordinator compute path: scatter the
-// selection over the fleet's background slices, merge the exact tallies,
-// and cache the merged table keyed by the result-shaping options, the
-// canonical selection and the shard-set generation. Degraded merges —
-// correct analyses over the covered background — are served but never
-// cached, exactly like degraded search merges: cached, they would keep
-// answering for the survivor subset long after the slice recovered.
+// scatterEnrich is handleEnrich's coordinator compute path: ask the fleet
+// for the selection's whole-background tallies, merge them exactly, and
+// cache the table keyed by the result-shaping options, the canonical
+// selection and the shard-set generation. A fleet enrichment is never
+// degraded, so every success is cacheable.
 func (s *Server) scatterEnrich(ctx context.Context, genes []string, opt golem.Options) (*shard.EnrichResult, *shard.Meta, string, error) {
 	sel := spell.CanonicalQuery(genes)
 	key := fmt.Sprintf("escatter\x1f%016x\x1f%d\x1f%g\x1f%s",
@@ -370,7 +377,7 @@ func (s *Server) scatterEnrich(ctx context.Context, genes []string, opt golem.Op
 			return nil, serr
 		}
 		return &enrichScatterValue{res: res, meta: meta}, nil
-	}, func(v any) bool { return !v.(*enrichScatterValue).meta.Degraded }, nil)
+	}, nil, nil)
 	if err != nil {
 		return nil, nil, disp, err
 	}

@@ -42,7 +42,7 @@ func newShardTopology(t *testing.T, nShards int, cfg shard.Config) *shardTopolog
 // enricher built from one universe has the same kernel fingerprint — the
 // property a real fleet gets from booting every shard off one OBO and one
 // association file.
-func topologyEnricher(t *testing.T, u *synth.Universe) *golem.Enricher {
+func topologyEnricher(t testing.TB, u *synth.Universe) *golem.Enricher {
 	t.Helper()
 	var names []string
 	for _, m := range u.Modules {
@@ -741,6 +741,64 @@ func TestCoordinatorEnrichMatchesSingleProcess(t *testing.T) {
 				t.Fatalf("escatter prefix occupancy: %+v", snap.Cache.Prefixes)
 			}
 		})
+	}
+}
+
+// TestShardEnrichOwnerBearingSlices keeps the older coordinator protocol
+// served: owner-bearing enrich requests still name slice gi of G through
+// the Groups derivation, and the G slices merge to the exact analysis —
+// as does the single whole-background request a coordinator now sends.
+func TestShardEnrichOwnerBearingSlices(t *testing.T) {
+	top := newEnrichedTopology(t, 3, 6, shard.Config{Replication: 2}, func(int) bool { return true })
+	var names []string
+	for _, ds := range top.dss {
+		names = append(names, ds.Name)
+	}
+	shards := []string{"shard-0", "shard-1", "shard-2"}
+	url := map[string]string{}
+	for si, id := range shards {
+		url[id] = top.servers[si].URL
+	}
+	sel := top.u.ModuleGeneIDs(3)
+	partial := func(to string, req shard.EnrichRequest) *golem.PartialCounts {
+		t.Helper()
+		resp, err := http.Post(url[to]+shard.EnrichPath, shard.ContentType, bytes.NewReader(gobBody(t, req)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("enrich on %s = %d", to, resp.StatusCode)
+		}
+		var p golem.PartialCounts
+		if err := gob.NewDecoder(resp.Body).Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		return &p
+	}
+	want, err := top.enr.Analyze(sel, golem.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := shard.Groups(names, shards, 2)
+	var parts []*golem.PartialCounts
+	for gi, owners := range groups {
+		p := partial(owners[len(owners)-1], shard.EnrichRequest{Selection: sel, Shards: shards, Replication: 2, Owners: owners})
+		if p.Slice != gi || p.Slices != len(groups) {
+			t.Fatalf("group %v served slice %d/%d, want %d/%d", owners, p.Slice, p.Slices, gi, len(groups))
+		}
+		parts = append(parts, p)
+	}
+	whole := partial("shard-0", shard.EnrichRequest{Selection: sel})
+	if whole.Slice != 0 || whole.Slices != 1 {
+		t.Fatalf("whole-background request served slice %d/%d", whole.Slice, whole.Slices)
+	}
+	for _, set := range [][]*golem.PartialCounts{parts, {whole}} {
+		got, err := golem.MergeCounts(top.enr.Catalog(), set, golem.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertEnrichBodyParity(t, &scatterEnrichBody{Results: got}, want)
 	}
 }
 

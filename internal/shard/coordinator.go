@@ -354,7 +354,7 @@ type ownerGroup struct {
 func deriveCatalog(gen uint64, ids []string, shards []string, r int) *catalogState {
 	cat := &catalogState{gen: gen, ids: ids}
 	// Groups owns the group ordering — the same derivation shards apply to
-	// an EnrichRequest, so group gi here is background slice gi there.
+	// a group-scoped SearchRequest.
 	index := make(map[string]int)
 	for _, owners := range Groups(ids, shards, r) {
 		index[strings.Join(owners, "\x00")] = len(cat.groups)
@@ -605,9 +605,10 @@ type attemptOutcome struct {
 // attempt. Phase 2 — only when coverage is still incomplete, which
 // consistent placement never triggers — scavenges the non-owner shards
 // sequentially, because after a membership change without a data re-sync
-// they may still hold the group's datasets from their boot-time assignment
-// (and for enrichment any capable shard can serve any slice). The best
-// answer wins; worst seeds the missing score an absent answer counts as.
+// they may still hold the group's datasets from their boot-time assignment.
+// The best answer wins; worst seeds the missing score an absent answer
+// counts as. Enrichment passes the whole fleet as the group, so its walk
+// covers every shard and never scavenges.
 func (c *Coordinator) fetchGroup(ctx context.Context, shards []string, g ownerGroup, worst int, do attemptFn) groupResult {
 	replicas := c.orderReplicas(g.owners)
 	inGroup := make(map[string]bool, len(replicas))

@@ -9,21 +9,20 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 
 	"forestview/internal/golem"
 	"forestview/internal/spell"
 )
 
-// The distributed-enrichment scatter. Enrichment rides the same
-// ownership-group machinery as search — one request per group, p2c replica
-// selection, failover, hedging, scavenge — but with one structural
-// difference: a group names a background *slice* (slice gi of G, where gi
-// is the group's position in the Groups derivation), and slices don't
-// depend on which datasets a shard holds, so any shard with an enricher
-// can serve any slice. Failover and the scavenge pass therefore rescue
-// coverage across the whole fleet, and a single ontology-less shard costs
-// nothing while any capable shard is reachable.
+// Distributed enrichment. A GOLEM background slice is a gene-arena word
+// range, independent of which datasets a shard holds, so any shard with an
+// enricher can tally the whole background in one pass. The coordinator
+// therefore sends each enrichment as a single whole-background request —
+// slice 0 of 1 — with every live shard as a candidate replica: the same
+// fetchGroup discipline search uses (p2c choice, draining last, breaker,
+// failover, hedge, retry) walks the fleet until one capable shard answers.
+// One round trip instead of one per ownership group, and no partial
+// coverage to disclose: an enrichment is exact or it fails.
 
 // ErrNoEnrichment reports a fleet in which no reachable shard offers
 // enrichment (no shard booted with an ontology, or every capable shard is
@@ -42,44 +41,32 @@ type enrichCatalogState struct {
 	cat *golem.TermCatalog
 }
 
-// EnrichResult is the merged outcome of an enrichment scatter.
+// EnrichResult is the outcome of a fleet enrichment.
 type EnrichResult struct {
-	// Results is the exact merged analysis (bit-identical to a
-	// single-process Analyze when no group was lost).
+	// Results is the exact analysis, bit-identical to a single-process
+	// Analyze.
 	Results []golem.Enrichment
-	// Background is the merged universe size: the full N on a clean
-	// scatter, the covered total on a degraded one.
+	// Background is the universe size N.
 	Background int
 	// InBackground maps each canonicalized selection gene to whether the
-	// full universe knows it, taken from the partials' disclosure — the
+	// universe knows it, taken from the partial's disclosure — the
 	// coordinator needs no local enricher to report what was tested vs
 	// ignored.
 	InBackground map[string]bool
 }
 
-// EnrichCtx scatters one enrichment selection over the fleet's ownership
-// groups: group gi is asked for background slice gi of G, served by one of
-// its R replicas with failover/hedging/scavenge exactly like SearchCtx.
-// The slice tallies merge through golem.MergeCounts, so the result is
-// exact, not approximate. Degraded means some slice was unreachable — the
-// analysis is then over the covered background only. A selection none of
-// the *reachable* slices hold returns ErrDegradedUnresolved when the
-// universe is known to contain it, golem.ErrNoSelection when it does not.
+// EnrichCtx answers one enrichment selection from the fleet with a single
+// whole-background request, served by whichever live shard the replica
+// discipline picks (failing over across the whole fleet). The tallies merge
+// through golem.MergeCounts against the fleet's term catalog, so the result
+// is exact. Meta reports one group of one: the result is never degraded —
+// if no capable shard answers, the call fails with ErrAllShardsFailed.
 func (c *Coordinator) EnrichCtx(ctx context.Context, selection []string, opt golem.Options) (*EnrichResult, Meta, error) {
 	shards, gen := c.membership.Snapshot()
-	r := c.replicationFor(len(shards))
-	meta := Meta{ShardsTotal: len(shards), Replication: r}
+	meta := Meta{ShardsTotal: len(shards), Replication: c.replicationFor(len(shards)), GroupsTotal: 1}
 	sel := spell.CanonicalQuery(selection)
 	if len(sel) == 0 {
 		return nil, meta, errors.New("golem: empty selection")
-	}
-	cat, err := c.catalogFor(ctx, shards, gen)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, meta, cerr
-		}
-		c.outages.Add(1)
-		return nil, meta, fmt.Errorf("%w (catalog: %v)", ErrAllShardsFailed, err)
 	}
 	ecat, err := c.enrichCatalogFor(ctx, shards, gen)
 	if err != nil {
@@ -92,95 +79,44 @@ func (c *Coordinator) EnrichCtx(ctx context.Context, selection []string, opt gol
 		c.outages.Add(1)
 		return nil, meta, fmt.Errorf("%w (enrich catalog: %v)", ErrAllShardsFailed, err)
 	}
-	meta.GroupsTotal = len(cat.groups)
-
-	bodies := make([][]byte, len(cat.groups))
-	for gi, g := range cat.groups {
-		var body bytes.Buffer
-		if err := gob.NewEncoder(&body).Encode(EnrichRequest{
-			Selection:   sel,
-			Shards:      shards,
-			Replication: r,
-			Owners:      g.owners,
-		}); err != nil {
-			return nil, meta, err
-		}
-		bodies[gi] = body.Bytes()
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(EnrichRequest{Selection: sel}); err != nil {
+		return nil, meta, err
 	}
-
-	results := make([]groupResult, len(cat.groups))
-	var wg sync.WaitGroup
-	for gi := range cat.groups {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			results[gi] = c.fetchGroup(ctx, shards, cat.groups[gi], 1,
-				func(actx context.Context, shard string) (any, int, error) {
-					p, err := c.doEnrich(actx, shard, bodies[gi])
-					if err != nil {
-						return nil, 0, err
-					}
-					// A partial from a differently-built enricher or a shard
-					// that derived a different partition must fail over, not
-					// merge: exactness beats availability here.
-					if p.Fingerprint != ecat.Fingerprint {
-						return nil, 0, fmt.Errorf("enricher fingerprint %016x, catalog has %016x",
-							p.Fingerprint, ecat.Fingerprint)
-					}
-					if p.Slices != len(cat.groups) || p.Slice != gi {
-						return nil, 0, fmt.Errorf("shard derived slice %d/%d, coordinator expects %d/%d",
-							p.Slice, p.Slices, gi, len(cat.groups))
-					}
-					return p, 0, nil
-				})
-		}(gi)
-	}
-	wg.Wait()
+	gr := c.fetchGroup(ctx, shards, ownerGroup{owners: shards}, 1,
+		func(actx context.Context, shard string) (any, int, error) {
+			p, err := c.doEnrich(actx, shard, body.Bytes())
+			if err != nil {
+				return nil, 0, err
+			}
+			// A partial from a differently-built enricher, or anything short
+			// of the whole background, must fail over, not merge: exactness
+			// beats availability here.
+			if p.Fingerprint != ecat.Fingerprint {
+				return nil, 0, fmt.Errorf("enricher fingerprint %016x, catalog has %016x",
+					p.Fingerprint, ecat.Fingerprint)
+			}
+			if p.Slices != 1 || len(p.InBackground) != len(sel) {
+				return nil, 0, fmt.Errorf("shard served slice %d/%d over %d genes, want the whole background over %d",
+					p.Slice, p.Slices, len(p.InBackground), len(sel))
+			}
+			return p, 0, nil
+		})
 	if err := ctx.Err(); err != nil {
 		return nil, meta, err
 	}
-
-	parts := make([]*golem.PartialCounts, 0, len(results))
-	contributors := make(map[string]bool)
-	var firstErr error
-	for gi, gr := range results {
-		if gr.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("group %v: %w", cat.groups[gi].owners, gr.err)
-		}
-		if gr.payload == nil {
-			continue
-		}
-		meta.GroupsOK++
-		parts = append(parts, gr.payload.(*golem.PartialCounts))
-		contributors[gr.shard] = true
-	}
-	meta.ShardsOK = len(contributors)
-	if len(parts) == 0 {
+	if gr.payload == nil {
 		c.outages.Add(1)
-		return nil, meta, fmt.Errorf("%w (first: %v)", ErrAllShardsFailed, firstErr)
+		return nil, meta, fmt.Errorf("%w (%v)", ErrAllShardsFailed, gr.err)
 	}
-	meta.Degraded = meta.GroupsOK < meta.GroupsTotal
-	if meta.Degraded {
-		c.degraded.Add(1)
-	}
-	merged, err := golem.MergeCounts(ecat, parts, opt)
+	meta.GroupsOK, meta.ShardsOK = 1, 1
+	p := gr.payload.(*golem.PartialCounts)
+	merged, err := golem.MergeCounts(ecat, []*golem.PartialCounts{p}, opt)
 	if err != nil {
-		if errors.Is(err, golem.ErrNoSelection) && meta.Degraded && golem.SelectionKnown(parts) {
-			// The reachable slices hold none of the genes but the universe
-			// does: the unreachable slices may carry them, so the honest
-			// answer is "retry later", not "bad selection".
-			err = fmt.Errorf("%w (%d of %d groups served: %v)",
-				ErrDegradedUnresolved, meta.GroupsOK, meta.GroupsTotal, firstErr)
-		}
 		return nil, meta, err
 	}
-	res := &EnrichResult{Results: merged, InBackground: make(map[string]bool, len(sel))}
-	for _, p := range parts {
-		res.Background += p.BackgroundSize
-	}
-	// Every partial discloses full-universe membership identically; any one
-	// serves.
-	for i, ok := range parts[0].InBackground {
+	res := &EnrichResult{Results: merged, Background: p.BackgroundSize, InBackground: make(map[string]bool, len(sel))}
+	for i, ok := range p.InBackground {
 		res.InBackground[sel[i]] = ok
 	}
 	return res, meta, nil

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"sync/atomic"
 	"testing"
 
 	"forestview/internal/golem"
@@ -223,80 +224,99 @@ func TestEnrichScatterOntologyLessShard(t *testing.T) {
 	}
 }
 
-// TestEnrichScatterDegraded forces real slice loss: every capable shard
-// refuses one specific group (as an overloaded fleet might), so the merge
-// covers the remaining slices and says so. A selection whose genes all
-// live in the lost slice is ErrDegradedUnresolved — retryable — not the
-// 422-style ErrNoSelection a truly unknown selection earns.
+// TestEnrichScatterDegraded pins that fleet enrichment cannot degrade: the
+// single whole-background request fails over across every live shard, so
+// with all capable shards but one refusing — one with a 500, one with a
+// partial of half the background — the answer is still exact and
+// non-degraded, served by the one willing shard; with every shard refusing
+// it is ErrAllShardsFailed, never a partial merge.
 func TestEnrichScatterDegraded(t *testing.T) {
-	f := newScatterFixtureR(t, 2, 1)
+	f := newScatterFixtureR(t, 3, 2)
 	sel := f.withEnrichers(t, 13)
-	enr := f.shards[0].enr
-
-	// Find the group list the fleet will derive and refuse its last group.
-	groups := Groups(f.ids, f.identities, 1)
-	if len(groups) < 2 {
-		t.Fatalf("fixture derives %d groups, need >= 2", len(groups))
-	}
-	lost := len(groups) - 1
-	refuse := func(w http.ResponseWriter, req *EnrichRequest) bool {
-		g := Groups(f.ids, req.Shards, req.Replication)
-		if gi := GroupIndex(g, req.Owners); gi == lost {
-			http.Error(w, "refusing slice for test", http.StatusInternalServerError)
-			return true
-		}
-		return false
-	}
-	for _, sh := range f.shards {
-		sh.enrichBehave = refuse
-	}
-	c, _ := f.start(t, Config{})
-
-	res, meta, err := c.EnrichCtx(context.Background(), sel, golem.Options{})
+	want, err := f.shards[0].enr.Analyze(sel, golem.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !meta.Degraded || meta.GroupsOK != len(groups)-1 {
-		t.Fatalf("want degraded with %d/%d groups, got %+v", len(groups)-1, len(groups), meta)
+	var refuseAll atomic.Bool
+	var served atomic.Int64 // calls the willing shard-2 answered
+	for si, sh := range f.shards {
+		si := si
+		enr := sh.enr
+		sh.enrichBehave = func(w http.ResponseWriter, req *EnrichRequest) bool {
+			switch {
+			case si == 0 || refuseAll.Load():
+				http.Error(w, "refusing enrichment for test", http.StatusInternalServerError)
+			case si == 1:
+				half, err := enr.PartialAnalyze(req.Selection, 0, 2)
+				if err != nil {
+					http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+					return true
+				}
+				_ = gob.NewEncoder(w).Encode(half)
+			default:
+				served.Add(1)
+				return false
+			}
+			return true
+		}
 	}
-	if res.Background >= enr.BackgroundSize() {
-		t.Fatalf("degraded background %d not reduced from %d", res.Background, enr.BackgroundSize())
-	}
+	// Breaker off: every call walks the whole fleet, whatever the p2c pick.
+	c, _ := f.start(t, Config{Replication: 2, BreakerThreshold: -1})
 
-	// A selection living wholly in the lost slice: unresolved, not invalid.
-	hidden := genesInSlice(t, enr, lost, len(groups))
-	if _, _, err := c.EnrichCtx(context.Background(), hidden, golem.Options{}); !errors.Is(err, ErrDegradedUnresolved) {
-		t.Fatalf("hidden-slice selection: err = %v, want ErrDegradedUnresolved", err)
+	const calls = 6
+	for i := 0; i < calls; i++ {
+		res, meta, err := c.EnrichCtx(context.Background(), sel, golem.Options{})
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if meta.Degraded || meta.ShardsOK != 1 || meta.GroupsOK != 1 || meta.GroupsTotal != 1 {
+			t.Fatalf("call %d: want exact 1/1, got %+v", i, meta)
+		}
+		assertEnrichParity(t, res.Results, want)
+		if res.Background != f.shards[0].enr.BackgroundSize() {
+			t.Fatalf("call %d: background %d, want %d", i, res.Background, f.shards[0].enr.BackgroundSize())
+		}
 	}
-	// A selection the universe has never seen: ErrNoSelection even degraded.
+	if got := served.Load(); got != calls {
+		t.Fatalf("willing shard served %d of %d calls", got, calls)
+	}
+	// A selection the universe has never seen is the caller's error.
 	if _, _, err := c.EnrichCtx(context.Background(), []string{"NO-SUCH-GENE"}, golem.Options{}); !errors.Is(err, golem.ErrNoSelection) {
 		t.Fatalf("unknown selection: err = %v, want ErrNoSelection", err)
 	}
+
+	refuseAll.Store(true)
+	res, meta, err := c.EnrichCtx(context.Background(), sel, golem.Options{})
+	if !errors.Is(err, ErrAllShardsFailed) || res != nil {
+		t.Fatalf("all refusing: res %v err = %v, want ErrAllShardsFailed", res, err)
+	}
+	if meta.Degraded || meta.GroupsOK != 0 {
+		t.Fatalf("all refusing: meta %+v", meta)
+	}
 }
 
-// genesInSlice returns a few universe genes whose bit positions land in
-// word-range slice gi of G — computed through the public partial API so the
-// test doesn't reach into the kernel's layout.
-func genesInSlice(t *testing.T, enr *golem.Enricher, gi, G int) []string {
-	t.Helper()
-	var out []string
-	for g := 0; g < 400 && len(out) < 3; g++ {
-		gene := fmt.Sprintf("EG%05d", g)
-		if !enr.InBackground(gene) {
-			continue
+// TestEnrichScatterOneRequest: on a healthy 3-shard R=2 fleet every
+// enrichment costs exactly one replica request — the whole background in
+// one round trip, not one slice per ownership group.
+func TestEnrichScatterOneRequest(t *testing.T) {
+	f := newScatterFixtureR(t, 3, 2)
+	sel := f.withEnrichers(t, 19)
+	c, _ := f.start(t, Config{Replication: 2})
+	requests := func() (n int64) {
+		for _, s := range c.Stats().Shards {
+			n += s.Requests
 		}
-		p, err := enr.PartialAnalyze([]string{gene}, gi, G)
-		if err != nil {
+		return n
+	}
+	for i := 0; i < 4; i++ {
+		before := requests()
+		if _, _, err := c.EnrichCtx(context.Background(), sel[i:], golem.Options{}); err != nil {
 			t.Fatal(err)
 		}
-		if p.SelectionSize == 1 {
-			out = append(out, gene)
+		if got := requests() - before; got != 1 {
+			t.Fatalf("call %d: %d replica requests, want 1", i, got)
 		}
 	}
-	if len(out) == 0 {
-		t.Skipf("slice %d/%d holds no probe genes", gi, G)
-	}
-	return out
 }
 
 // TestEnrichScatterFingerprintMismatch: a shard whose enricher was built

@@ -87,15 +87,20 @@ type SearchRequest struct {
 // golem.MergeCounts applies them to the summed globals — so identical
 // selections hit the shard's partial cache regardless of options.
 //
-// The slice is named indirectly, by ownership group: the shard re-derives
-// Groups(bootCatalog, Shards, Replication), finds Owners in it, and serves
-// background slice gi of G where gi is the group's position and G the group
-// count — the same pure-function contract GroupIndexes gives search.
-// Unlike search the slice does not depend on which datasets the shard
-// holds, so *any* shard with an enricher can serve *any* slice: failover
-// and the scavenge pass work across the whole fleet, and a single
-// ontology-less shard costs coverage only if nobody else is reachable.
-// Empty Owners is the direct probe: the whole universe as slice 0 of 1.
+// The coordinator sends only Selection: empty Owners asks for the whole
+// background as slice 0 of 1. A background slice is a gene-arena word
+// range, independent of which datasets a shard holds, so any shard with an
+// enricher can serve it, and one request per enrichment suffices — its
+// failover reaches every live shard. The shard keys the cached tallies by
+// selection alone, since the whole background is the same under every
+// topology.
+//
+// Shards, Replication and Owners name a narrower slice by ownership group,
+// the protocol of older coordinators that sent one slice per group: the
+// shard re-derives Groups(bootCatalog, Shards, Replication), finds Owners
+// in it, and serves slice gi of G where gi is the group's position and G
+// the group count. Shards keep serving these so a fleet can be upgraded
+// one process at a time.
 type EnrichRequest struct {
 	Selection []string
 
@@ -154,8 +159,9 @@ type HandoffRequest struct {
 	Entries     []HandoffEntry
 }
 
-// HandoffEntry is one warm partial: a hot query (or enrichment selection)
-// scoped to one ownership group of the post-drain topology. Body is the
+// HandoffEntry is one warm partial: a hot query scoped to one ownership
+// group of the post-drain topology, or a hot enrichment selection's
+// whole-background tallies. Body is the
 // gob partial exactly as the receiver would serve it; a nil Body (or one
 // that fails the receiver's validation) makes the receiver recompute the
 // partial locally instead — replay warming, correct by construction.
@@ -164,7 +170,9 @@ type HandoffEntry struct {
 	Kind string
 	// Query is the canonical gene list (search) or selection (enrich).
 	Query []string
-	// Owners is the target group's ordered replica tuple under Shards.
+	// Owners is the target group's ordered replica tuple under Shards;
+	// empty for a whole-background enrichment entry, which every member
+	// receives.
 	Owners []string
 	// Body is the gob-encoded partial (*spell.Partial or
 	// *golem.PartialCounts); nil requests a local recompute.

@@ -205,16 +205,17 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 	}
 
 	// Stage 2: one scoring pass per dataset measuring the query feeds both
-	// accumulator pairs, per worker, merged lock-free like Search.
+	// accumulator pairs, per worker, merged lock-free and in worker order
+	// like Search (static dealing keeps the summation order fixed).
 	accs := make([]*dualAccum, par)
 	var wg sync.WaitGroup
-	work := make(chan int)
 	for w := 0; w < par; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			var acc *dualAccum
-			for di := range work {
+			for i := w; i < len(subset); i += par {
+				di := subset[i]
 				if len(infos[di].rows) == 0 || ctx.Err() != nil {
 					continue
 				}
@@ -230,10 +231,6 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 			accs[w] = acc
 		}(w)
 	}
-	for _, di := range subset {
-		work <- di
-	}
-	close(work)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -340,16 +340,18 @@ func (e *Engine) Search(query []string, opt Options) (*Result, error) {
 	// Stage 2: weighted gene scores, concurrently per dataset. Every worker
 	// accumulates into its own dense vector pair indexed by global gene id;
 	// the vectors merge by plain addition once the workers drain — no lock,
-	// no map, no string hashing on the hot path.
+	// no map, no string hashing on the hot path. Datasets are dealt to
+	// workers statically (di to worker di%par) and merged in worker order,
+	// so the float summation order, and with it every last bit of a score,
+	// does not depend on goroutine scheduling.
 	accs := make([]*accum, par)
 	var wg sync.WaitGroup
-	work2 := make(chan int)
 	for w := 0; w < par; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			var acc *accum
-			for di := range work2 {
+			for di := w; di < len(e.slabs); di += par {
 				if weights[di] == 0 || len(infos[di].rows) == 0 {
 					continue
 				}
@@ -361,10 +363,6 @@ func (e *Engine) Search(query []string, opt Options) (*Result, error) {
 			accs[w] = acc
 		}(w)
 	}
-	for di := range e.slabs {
-		work2 <- di
-	}
-	close(work2)
 	wg.Wait()
 	merged := mergeAccums(accs)
 
