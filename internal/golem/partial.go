@@ -276,18 +276,3 @@ func MergeCounts(cat *TermCatalog, parts []*PartialCounts, opt Options) ([]Enric
 	}
 	return finishAnalysis(results, opt), nil
 }
-
-// SelectionKnown reports whether any of the partials saw a selection gene in
-// the full universe. When a degraded merge returns ErrNoSelection but the
-// selection is known, the verdict is "unresolvable right now" (the genes
-// live in unreachable slices), not "bad selection".
-func SelectionKnown(parts []*PartialCounts) bool {
-	for _, p := range parts {
-		for _, ok := range p.InBackground {
-			if ok {
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -197,9 +197,8 @@ func TestMergeCountsValidation(t *testing.T) {
 
 // TestMergeCountsDegradedSubset: merging a strict subset of the partition is
 // a valid analysis over the reachable background — table fields shrink to
-// the covered range — and an all-misses subset distinguishes "genes unknown
-// to the universe" (ErrNoSelection + no InBackground bit set) from "genes
-// live in the missing slices" (ErrNoSelection but SelectionKnown).
+// the covered range — and an all-misses subset, whether its genes live in
+// the missing slice or nowhere in the universe, is ErrNoSelection.
 func TestMergeCountsDegradedSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	enr, sel := randomEnrichmentFixture(t, rng, 150, 400)
@@ -227,8 +226,7 @@ func TestMergeCountsDegradedSubset(t *testing.T) {
 		}
 	}
 
-	// A selection living entirely in the unreachable slice: merged n == 0,
-	// but SelectionKnown says the universe holds it.
+	// A selection living entirely in the unreachable slice: merged n == 0.
 	missing := -1
 	probe, err := enr.PartialAnalyze(sel, 1, 3)
 	if err != nil {
@@ -252,16 +250,13 @@ func TestMergeCountsDegradedSubset(t *testing.T) {
 			if _, err := MergeCounts(cat, hp, Options{}); !errors.Is(err, ErrNoSelection) {
 				t.Fatalf("hidden-slice selection: err = %v, want ErrNoSelection", err)
 			}
-			if !SelectionKnown(hp) {
-				t.Fatal("SelectionKnown must see the universe membership")
-			}
 			break
 		}
 	}
 	if missing < 0 {
 		t.Skip("fixture's middle slice holds no genes")
 	}
-	// Genes the universe has never heard of: not known, even degraded.
+	// Genes the universe has never heard of.
 	var up []*PartialCounts
 	for _, s := range []int{0, 2} {
 		p, err := enr.PartialAnalyze([]string{"NOT-A-GENE"}, s, 3)
@@ -272,9 +267,6 @@ func TestMergeCountsDegradedSubset(t *testing.T) {
 	}
 	if _, err := MergeCounts(cat, up, Options{}); !errors.Is(err, ErrNoSelection) {
 		t.Fatalf("unknown selection: err = %v, want ErrNoSelection", err)
-	}
-	if SelectionKnown(up) {
-		t.Fatal("unknown genes must not be SelectionKnown")
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -25,7 +26,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 			if i > 0 {
 				<-ready // the first goroutine is mid-compute before others join
 			}
-			v, err, joined := g.Do("k", func() (any, error) {
+			v, joined, _, err := g.Do(context.Background(), "k", func() (any, error) {
 				computes.Add(1)
 				close(ready)
 				<-release
@@ -55,7 +56,7 @@ func TestFlightGroupSequentialCallsRecompute(t *testing.T) {
 	var g flightGroup
 	n := 0
 	for i := 0; i < 3; i++ {
-		v, err, joined := g.Do("k", func() (any, error) { n++; return n, nil })
+		v, joined, _, err := g.Do(context.Background(), "k", func() (any, error) { n++; return n, nil })
 		if err != nil || joined {
 			t.Fatalf("call %d: err=%v joined=%v", i, err, joined)
 		}
@@ -68,7 +69,7 @@ func TestFlightGroupSequentialCallsRecompute(t *testing.T) {
 func TestFlightGroupPropagatesErrors(t *testing.T) {
 	var g flightGroup
 	boom := errors.New("boom")
-	_, err, _ := g.Do("k", func() (any, error) { return nil, boom })
+	_, _, _, err := g.Do(context.Background(), "k", func() (any, error) { return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -78,11 +79,11 @@ func TestFlightGroupPropagatesErrors(t *testing.T) {
 // key — later callers get a fresh flight, concurrent joiners get the error.
 func TestFlightGroupSurvivesPanic(t *testing.T) {
 	var g flightGroup
-	_, err, _ := g.Do("k", func() (any, error) { panic("kaboom") })
+	_, _, _, err := g.Do(context.Background(), "k", func() (any, error) { panic("kaboom") })
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("panic not converted to error: %v", err)
 	}
-	v, err, joined := g.Do("k", func() (any, error) { return "recovered", nil })
+	v, joined, _, err := g.Do(context.Background(), "k", func() (any, error) { return "recovered", nil })
 	if err != nil || joined || v.(string) != "recovered" {
 		t.Fatalf("key wedged after panic: %v, %v, %v", v, err, joined)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -33,7 +34,7 @@ func holdFlight(t *testing.T, s *Server, key string, val any) (release func()) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _, _ = s.flights.Do(key, func() (any, error) {
+		_, _, _, _ = s.flights.Do(context.Background(), key, func() (any, error) {
 			close(ready)
 			<-gate
 			return val, nil
@@ -174,6 +175,57 @@ func TestHeatmapCacheDispositionHeader(t *testing.T) {
 	resp := <-recCh
 	if resp.StatusCode != http.StatusOK || resp.Header.Get(cacheHeader) != "coalesced" {
 		t.Fatalf("coalesced tile = %d, %s: %q", resp.StatusCode, cacheHeader, resp.Header.Get(cacheHeader))
+	}
+}
+
+// TestFollowerStopsOnOwnDeadline pins the one wait rule every coalesced
+// path shares: a follower whose own context expires while the leader still
+// holds the flight answers 499 promptly instead of waiting for the leader.
+func TestFollowerStopsOnOwnDeadline(t *testing.T) {
+	s, u := fixture(t)
+	searchIDs := u.ModuleGeneIDs(6)[:3]
+	enrichIDs := u.ModuleGeneIDs(7)
+	_, gen, err := s.trees.get(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, url, key string
+		held           any // a value of the path's type, for the release at cleanup
+	}{
+		{"search", "/api/search?top=10&q=" + strings.Join(searchIDs, ","),
+			fmt.Sprintf("search\x1f%d\x1f%t\x1f%t\x1f%s", 10, true, false, joinIDs(spell.CanonicalQuery(searchIDs))),
+			&spell.Result{}},
+		{"enrich", "/api/enrich?genes=" + strings.Join(enrichIDs, ","),
+			fmt.Sprintf("enrich\x1f%d\x1f%g\x1f%s", 1, 0.0, joinIDs(spell.CanonicalQuery(enrichIDs))),
+			[]golem.Enrichment{}},
+		{"tile", "/api/heatmap?dataset=0&w=48&h=48&rows=16:48",
+			tileParams{dsIndex: 0, gen: gen, from: 16, to: 48, w: 48, h: 48, limit: 2}.key(),
+			append([]byte(nil), pngMagic...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			holdFlight(t, s, tc.key, tc.held) // released only at cleanup
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			codeCh := make(chan int, 1)
+			t0 := time.Now()
+			go func() {
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, tc.url, nil).WithContext(ctx))
+				codeCh <- rec.Code
+			}()
+			select {
+			case code := <-codeCh:
+				if code != statusClientClosedRequest {
+					t.Fatalf("status = %d, want %d", code, statusClientClosedRequest)
+				}
+				if el := time.Since(t0); el > time.Second {
+					t.Fatalf("follower returned %v after its 50ms deadline", el)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("follower still waiting on the held flight 2s after its 50ms deadline")
+			}
+		})
 	}
 }
 

@@ -379,7 +379,7 @@ func (s *Server) pushHandoff(ctx context.Context, st *shardState, target []strin
 			}
 			var body []byte
 			if heldAll {
-				body, _, _ = s.partialGroupSearch(ctx, e.ids, &shard.SearchRequest{
+				body, _, _ = s.partialSearch(ctx, e.ids, &shard.SearchRequest{
 					Query: e.ids, Shards: target, Replication: repl, Owners: owners,
 				})
 			}
@@ -528,10 +528,10 @@ func (s *Server) acceptHandoffEntry(ctx context.Context, st *shardState, req *sh
 		}
 		sreq := &shard.SearchRequest{Query: ids, Shards: req.Shards, Replication: req.Replication, Owners: e.Owners}
 		if s.searchBodyMatches(st, sreq, e.Body) {
-			s.cache.Put(groupSearchKey(sreq, ids), e.Body, int64(len(e.Body))+64)
+			s.cache.Put(groupSearchKey(sreq, ids), e.Body, bytesCost(e.Body))
 			return handoffAccepted
 		}
-		if _, _, err := s.partialGroupSearch(ctx, ids, sreq); err == nil {
+		if _, _, err := s.partialSearch(ctx, ids, sreq); err == nil {
 			return handoffRecomputed
 		}
 	case shard.CapabilityEnrich:
@@ -540,7 +540,7 @@ func (s *Server) acceptHandoffEntry(ctx context.Context, st *shardState, req *sh
 		}
 		ereq := &shard.EnrichRequest{Selection: ids, Shards: req.Shards, Replication: req.Replication, Owners: e.Owners}
 		if s.enrichBodyMatches(ereq, e.Body) {
-			s.cache.Put(groupEnrichKey(ereq, ids), e.Body, int64(len(e.Body))+64)
+			s.cache.Put(groupEnrichKey(ereq, ids), e.Body, bytesCost(e.Body))
 			return handoffAccepted
 		}
 		if _, _, err := s.partialEnrich(ctx, ids, ereq); err == nil {

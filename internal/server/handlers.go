@@ -123,13 +123,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.statSearch.rejected.Add(1)
 		s.writeJSONError(w, http.StatusServiceUnavailable, codeAllShardsFailed, err.Error())
 		return
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if r.Context().Err() != nil {
-			w.WriteHeader(statusClientClosedRequest)
-			return
-		}
-		s.statSearch.rejected.Add(1)
-		s.writeJSONError(w, http.StatusServiceUnavailable, codeInterrupted, "search repeatedly interrupted, retry later")
+	case s.writeInterrupted(w, r, err, &s.statSearch, "search"):
 		return
 	case err != nil:
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, err.Error())
@@ -231,20 +225,7 @@ func (s *Server) handleEnrich(w http.ResponseWriter, r *http.Request) {
 // the background doesn't know are 422 no_selection_genes.
 func (s *Server) writeEnrichError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if r.Context().Err() != nil {
-			// Our client hung up before the analysis finished; the kernel
-			// stopped mid-scan and nobody is listening for a body. Keep the
-			// abort visible in /api/stats as a 499.
-			w.WriteHeader(statusClientClosedRequest)
-			return
-		}
-		// The context error leaked from other requests' flights (the compute
-		// path exhausted its retries against flights whose leaders kept
-		// disconnecting). Shed so the client retries, counted like every
-		// other shed.
-		s.statEnrich.rejected.Add(1)
-		s.writeJSONError(w, http.StatusServiceUnavailable, codeInterrupted, "enrichment repeatedly interrupted, retry later")
+	case s.writeInterrupted(w, r, err, &s.statEnrich, "enrichment"):
 	case errors.Is(err, shard.ErrNoEnrichment):
 		// The fleet has no capable shard: same condition as a single daemon
 		// booted without an ontology, same code.
@@ -452,13 +433,9 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 
 	cd, gen, err := s.trees.get(r.Context(), dsIndex)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// Only our own hangup surfaces here (a dead leader's flight is
-			// retried while our context lives).
-			w.WriteHeader(statusClientClosedRequest)
-			return
+		if !s.writeInterrupted(w, r, err, &s.statHeatmap, "render") {
+			s.writeJSONError(w, http.StatusInternalServerError, codeInternal, err.Error())
 		}
-		s.writeJSONError(w, http.StatusInternalServerError, codeInternal, err.Error())
 		return
 	}
 	p.gen = gen
@@ -504,21 +481,7 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 		s.writeJSONError(w, http.StatusServiceUnavailable, codeSaturated, "render pool saturated, retry later")
 		return
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		if r.Context().Err() != nil {
-			// Our client hung up (or timed out) before the tile rendered;
-			// nobody is listening for a body. 499 is the de-facto status
-			// for "client closed request", and it keeps the abort visible
-			// as an error in /api/stats.
-			w.WriteHeader(statusClientClosedRequest)
-			return
-		}
-		// Our client is still live: the context error leaked from other
-		// requests' flights (renderTile exhausted its retries against
-		// flights whose leaders kept disconnecting). Shed like saturation
-		// so the client retries, rather than misreporting a hangup.
-		s.statHeatmap.rejected.Add(1)
-		s.writeJSONError(w, http.StatusServiceUnavailable, codeInterrupted, "render repeatedly interrupted, retry later")
+	if s.writeInterrupted(w, r, err, &s.statHeatmap, "render") {
 		return
 	}
 	if err != nil {
@@ -548,21 +511,39 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 // per-endpoint error accounting sees it.
 const statusClientClosedRequest = 499
 
-// renderTile produces the PNG bytes for p, cached and coalesced like every
+// writeInterrupted answers a request whose compute path failed with a
+// context error, and reports whether err was one. If the request's own
+// client hung up (or timed out), nobody is listening for a body: 499 keeps
+// the abort visible as an error in /api/stats. Otherwise the context error
+// leaked from other requests' flights — their leaders kept disconnecting
+// until the handover retries ran out — so the request is shed with a 503
+// the client retries, counted as rejected on ep (nil on the shard wire,
+// where the coordinator fails over instead).
+func (s *Server) writeInterrupted(w http.ResponseWriter, r *http.Request, err error, ep *endpointStats, what string) bool {
+	if !isContextErr(err) {
+		return false
+	}
+	if r.Context().Err() != nil {
+		w.WriteHeader(statusClientClosedRequest)
+		return true
+	}
+	if ep != nil {
+		ep.rejected.Add(1)
+	}
+	s.writeJSONError(w, http.StatusServiceUnavailable, codeInterrupted, what+" repeatedly interrupted, retry later")
+	return true
+}
+
+// renderTile produces the PNG bytes for p through cachedDo like every
 // other result; only the actual rasterization runs on the worker pool, so
 // cache hits bypass the pool entirely. The request context rides through
-// the coalescing layer into Pool.Run, so a tile whose client has hung up
-// stops waiting immediately and is skipped if still queued. Because
-// coalesced followers share the leader's flight — and therefore the
-// leader's context — a follower whose own context is still live retries
-// when a flight dies of someone else's cancellation, becoming the new
-// leader instead of failing an innocent request. ep receives the
+// the flight into Pool.Run, so a tile whose client has hung up stops
+// waiting immediately and is skipped if still queued. ep receives the
 // cache/compute accounting: the foreground handler passes statHeatmap, the
 // prefetcher its own stats, so speculation never skews request counters.
 func (s *Server) renderTile(ctx context.Context, cd *core.ClusteredDataset, p tileParams, ep *endpointStats) ([]byte, string, error) {
 	key := p.key()
-	tileCost := func(v any) int64 { return int64(len(v.([]byte))) + 64 }
-	v, disp, err := s.cachedDoRetry(ctx, ep, key, tileCost, func() (any, error) {
+	v, disp, err := s.cachedDo(ctx, ep, key, bytesCost, func() (any, error) {
 		return s.pool.Run(ctx, func() (any, error) {
 			png, err := s.rasterizeTile(cd, p)
 			if err != nil {
@@ -575,10 +556,10 @@ func (s *Server) renderTile(ctx context.Context, cd *core.ClusteredDataset, p ti
 			// retrying follower (or the next request) instead of
 			// discarding it with the canceled wait. cachedDo's own
 			// Put after a live wait is an idempotent overwrite.
-			s.cache.Put(key, png, tileCost(png))
+			s.cache.Put(key, png, bytesCost(png))
 			return png, nil
 		})
-	}, nil, nil)
+	})
 	if err != nil {
 		return nil, disp, err
 	}

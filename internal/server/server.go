@@ -22,7 +22,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -434,7 +433,7 @@ func (s *Server) searchWith(ctx context.Context, ep *endpointStats, ids []string
 	// result-shaping option must be in it.
 	key := fmt.Sprintf("search\x1f%d\x1f%t\x1f%t\x1f%s",
 		opt.MaxGenes, opt.IncludeQuery, opt.UniformWeights, joinIDs(ids))
-	v, disp, err := s.cachedDo(ep, key, searchCost, func() (any, error) {
+	v, disp, err := s.cachedDo(ctx, ep, key, searchCost, func() (any, error) {
 		return s.cfg.Engine.Search(ids, opt)
 	})
 	if err != nil {
@@ -482,12 +481,10 @@ func (s *Server) Enrich(genes []string, opt golem.Options) ([]golem.Enrichment, 
 }
 
 // EnrichCtx is the /api/enrich compute path: canonicalized cache key into
-// the sharded LRU, singleflight coalescing, and the request context threaded
-// into the bitset kernel (golem.AnalyzeCtx) so a disconnected client stops
-// paying mid-scan. Like the tile path, a follower whose joined flight died
-// of the *leader's* hangup retries with its own live context instead of
-// failing an innocent request. Kernel executions and their latency are
-// accounted under enrich_cache in /api/stats.
+// the shared cachedDo path, with the request context threaded into the
+// bitset kernel (golem.AnalyzeCtx) so a disconnected client stops paying
+// mid-scan. Kernel executions and their latency are accounted under
+// enrich_cache in /api/stats.
 func (s *Server) EnrichCtx(ctx context.Context, genes []string, opt golem.Options) ([]golem.Enrichment, error) {
 	res, _, err := s.enrichCtx(ctx, genes, opt)
 	return res, err
@@ -501,12 +498,12 @@ func (s *Server) enrichCtx(ctx context.Context, genes []string, opt golem.Option
 	}
 	genes = spell.CanonicalQuery(genes)
 	key := fmt.Sprintf("enrich\x1f%d\x1f%g\x1f%s", opt.MinSelected, opt.MaxPValue, joinIDs(genes))
-	v, disp, err := s.cachedDoRetry(ctx, &s.statEnrich, key, enrichCost, func() (any, error) {
+	v, disp, err := s.cachedDo(ctx, &s.statEnrich, key, enrichCost, func() (any, error) {
 		t0 := time.Now()
 		res, aerr := s.cfg.Enricher.AnalyzeCtx(ctx, genes, opt)
 		s.enrichKernel.observe(time.Since(t0), aerr)
 		return res, aerr
-	}, nil, func() { s.enrichKernel.retries.Add(1) })
+	})
 	if err != nil {
 		return nil, disp, err
 	}
@@ -539,48 +536,47 @@ const (
 // cacheHeader is the response header carrying the cache disposition.
 const cacheHeader = "X-Forestview-Cache"
 
-// cachedDo is the daemon's concurrency discipline in one place: cache
-// lookup, then coalesced computation, then cache fill. Errors are never
-// cached (a transiently bad query must not poison the cache), but
-// concurrent identical failures still compute only once. The returned
-// disposition says which layer answered.
-func (s *Server) cachedDo(ep *endpointStats, key string, cost func(any) int64, compute func() (any, error)) (any, string, error) {
-	return s.cachedDoIf(ep, key, cost, compute, nil)
-}
-
-// cachedDoIf is cachedDo with a cacheability predicate: a computed value
-// for which it returns false is delivered to its waiters but never enters
-// the cache (the scatter path keeps degraded merges out this way). A nil
-// predicate caches every successful value.
-func (s *Server) cachedDoIf(ep *endpointStats, key string, cost func(any) int64, compute func() (any, error), cacheable func(any) bool) (any, string, error) {
+// cachedDo is the daemon's one compute path: cache lookup, then the
+// computation coalesced under ctx (flightGroup.Do, with its wait and
+// leader-handover rules), then cache fill. Errors are never cached (a
+// transiently bad query must not poison the cache), but concurrent
+// identical failures still compute only once. Neither is a degraded value
+// (see degradable). The returned disposition says which layer answered.
+func (s *Server) cachedDo(ctx context.Context, ep *endpointStats, key string, cost func(any) int64, compute func() (any, error)) (any, string, error) {
 	if v, ok := s.cache.Get(key); ok {
 		ep.cacheHits.Add(1)
 		return v, dispHit, nil
 	}
 	ep.cacheMisses.Add(1)
-	// computed is written only when this caller leads the flight (a joiner's
-	// closure never runs), so reading it after Do is race-free.
+	// computed is written only while this caller leads a flight (a
+	// follower's closure never runs), so reading it after Do is race-free.
 	computed := false
-	v, err, joined := s.flights.Do(key, func() (any, error) {
+	v, joined, retries, err := s.flights.Do(ctx, key, func() (any, error) {
 		// Re-check under the flight: a caller that missed the cache just as
 		// the previous flight completed must find that flight's result here
 		// rather than compute again.
 		if v, ok := s.cache.Get(key); ok {
+			computed = false
 			return v, nil
 		}
 		ep.computed.Add(1)
 		computed = true
 		v, err := compute()
-		if err == nil && (cacheable == nil || cacheable(v)) {
-			s.cache.Put(key, v, cost(v))
+		if err == nil {
+			if d, ok := v.(degradable); !ok || !d.degraded() {
+				s.cache.Put(key, v, cost(v))
+			}
 		}
 		return v, err
 	})
-	if joined {
+	if retries > 0 {
+		ep.retries.Add(int64(retries))
+	}
+	switch {
+	case joined:
 		ep.coalesced.Add(1)
 		return v, dispCoalesced, err
-	}
-	if !computed {
+	case !computed:
 		// We led a flight but its cache re-check hit: the previous flight
 		// filled the key between our miss and our entry. For the client
 		// that's a hit — no computation ran on its behalf.
@@ -589,34 +585,15 @@ func (s *Server) cachedDoIf(ep *endpointStats, key string, cost func(any) int64,
 	return v, dispMiss, err
 }
 
-// cachedDoRetry wraps cachedDoIf in the daemon's leader-handover retry
-// discipline, shared by every compute path (tiles, enrichment, partials,
-// scatters): a coalesced follower whose joined flight died of a context
-// error that is not its own — the *leader's* client disconnected — retries
-// with its own live context instead of failing an innocent request.
-// onRetry (optional) is called before each re-attempt, for accounting.
-// The disposition of the final attempt is returned.
-func (s *Server) cachedDoRetry(ctx context.Context, ep *endpointStats, key string, cost func(any) int64, compute func() (any, error), cacheable func(any) bool, onRetry func()) (any, string, error) {
-	const maxAttempts = 3
-	var (
-		v    any
-		disp string
-		err  error
-	)
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 && onRetry != nil {
-			onRetry()
-		}
-		v, disp, err = s.cachedDoIf(ep, key, cost, compute, cacheable)
-		if err == nil || ctx.Err() != nil {
-			break
-		}
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			break
-		}
-	}
-	return v, disp, err
-}
+// degradable is implemented by computed values that may be degraded — a
+// scatter merge missing a shard. cachedDo delivers a degraded value to its
+// waiters but never caches it: cached, it would keep answering for the
+// survivor subset long after the shard recovered.
+type degradable interface{ degraded() bool }
+
+// bytesCost is the cache cost of a byte-slice value (PNG tiles, gob-encoded
+// partials): its exact length plus entry overhead.
+func bytesCost(v any) int64 { return int64(len(v.([]byte))) + 64 }
 
 // searchCost approximates the resident size of a cached *spell.Result.
 func searchCost(v any) int64 {
@@ -760,7 +737,7 @@ func (s *Server) Stats() StatsSnapshot {
 			Analyses:     s.enrichKernel.analyses.Load(),
 			Canceled:     s.enrichKernel.canceled.Load(),
 			Failures:     s.enrichKernel.failures.Load(),
-			Retries:      s.enrichKernel.retries.Load(),
+			Retries:      s.statEnrich.retries.Load(),
 			MaxAnalyzeUS: s.enrichKernel.maxUS.Load(),
 			Entries:      prefixes["enrich"].Entries,
 			Bytes:        prefixes["enrich"].Bytes,

@@ -44,117 +44,100 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.warm.touch(shard.CapabilitySearch, ids)
-	var body []byte
-	var disp string
-	var err error
-	if len(req.Owners) > 0 {
-		body, disp, err = s.partialGroupSearch(r.Context(), ids, &req)
-	} else {
-		body, disp, err = s.partialSearch(r.Context(), ids)
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		if r.Context().Err() != nil {
-			// The coordinator gave up on us (deadline, hedge won elsewhere,
-			// or its own caller hung up); nobody reads a body.
-			w.WriteHeader(statusClientClosedRequest)
-			return
-		}
-		s.writeJSONError(w, http.StatusServiceUnavailable, codeInterrupted, "partial search repeatedly interrupted, retry later")
-		return
-	}
-	if errors.Is(err, errPartialEncode) {
+	body, disp, err := s.partialSearch(r.Context(), ids, &req)
+	s.writePartial(w, r, body, disp, err, "partial search")
+}
+
+// writePartial answers a shard wire request with its gob-encoded partial,
+// or maps the compute error: a context error as on every endpoint (the
+// coordinator giving up on us — deadline, hedge won elsewhere, or its own
+// caller hung up — is a 499), an encode bug to a counted 500, anything
+// else to 422.
+func (s *Server) writePartial(w http.ResponseWriter, r *http.Request, body []byte, disp string, err error, what string) {
+	switch {
+	case s.writeInterrupted(w, r, err, nil, what):
+	case errors.Is(err, errPartialEncode):
 		s.encodeFailures.Add(1)
 		s.writeJSONError(w, http.StatusInternalServerError, codeEncodeFailed, err.Error())
-		return
-	}
-	if err != nil {
+	case err != nil:
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, err.Error())
-		return
+	default:
+		w.Header().Set(cacheHeader, disp)
+		w.Header().Set("Content-Type", shard.ContentType)
+		_, _ = w.Write(body)
 	}
-	w.Header().Set(cacheHeader, disp)
-	w.Header().Set("Content-Type", shard.ContentType)
-	_, _ = w.Write(body)
 }
 
 // errPartialEncode marks a gob failure while encoding a partial — a bug,
 // reported as a counted 500 like every other encode failure.
 var errPartialEncode = errors.New("partial encode failed")
 
-// partialSearch computes (or serves cached) this shard's partial for a
-// canonical query, already gob-encoded: the wire form is what every
-// consumer of the cache wants, so a cache hit costs zero re-encoding and
-// the entry's cost is its exact byte length. Leader-handover retries as
-// on every compute path.
-func (s *Server) partialSearch(ctx context.Context, ids []string) ([]byte, string, error) {
-	st := s.shardState()
-	key := "partial\x1f" + joinIDs(ids)
-	wireCost := func(v any) int64 { return int64(len(v.([]byte))) + 64 }
-	v, disp, err := s.cachedDoRetry(ctx, &s.statShard, key, wireCost, func() (any, error) {
-		p, perr := st.engine.PartialSearchCtx(ctx, ids, spell.Options{Parallelism: s.cfg.SearchParallelism})
-		if perr != nil {
-			return nil, perr
-		}
-		// Remap local dataset indexes to the global compendium order once,
-		// at compute time: cached partials are already global.
-		for i := range p.Datasets {
-			p.Datasets[i].Index = st.indexes[p.Datasets[i].Index]
+// cachedPartial runs a shard partial through cachedDo in its wire form,
+// gob-encoded once at compute time: the wire form is what every consumer of
+// the cache wants, so a cache hit costs zero re-encoding and the entry's
+// cost is its exact byte length.
+func (s *Server) cachedPartial(ctx context.Context, key string, compute func() (any, error)) ([]byte, string, error) {
+	v, disp, err := s.cachedDo(ctx, &s.statShard, key, bytesCost, func() (any, error) {
+		p, err := compute()
+		if err != nil {
+			return nil, err
 		}
 		var buf bytes.Buffer
-		if eerr := gob.NewEncoder(&buf).Encode(p); eerr != nil {
-			return nil, fmt.Errorf("%w: %v", errPartialEncode, eerr)
+		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+			return nil, fmt.Errorf("%w: %v", errPartialEncode, err)
 		}
 		return buf.Bytes(), nil
-	}, nil, nil)
+	})
 	if err != nil {
-		return nil, "", err
+		return nil, disp, err
 	}
 	return v.([]byte), disp, nil
 }
 
-// groupSearchKey is the cache key of one group-scoped search partial. The
-// handoff receiver (drain.go) inserts pushed bodies under this exact key,
-// so it must stay in lockstep with partialGroupSearch.
+// groupSearchKey is the cache key of one search partial. The handoff
+// receiver (drain.go) inserts pushed bodies under this exact key, so it
+// must stay in lockstep with partialSearch. A group-scoped key carries the
+// topology generation, the replication factor and the owner tuple: a
+// membership change re-derives groups, and stale group partials become
+// unreachable rather than wrong.
 func groupSearchKey(req *shard.SearchRequest, ids []string) string {
+	if len(req.Owners) == 0 {
+		return "partial\x1f" + joinIDs(ids)
+	}
 	return fmt.Sprintf("partial\x1f%016x\x1f%d\x1f%s\x1f%s",
 		shard.Generation(req.Shards), req.Replication, joinIDs(req.Owners), joinIDs(ids))
 }
 
-// partialGroupSearch is partialSearch scoped to one ownership group of a
-// replicated fleet (DESIGN.md §5): the shard recomputes the group from
-// the request's (shards, replication, owners) — the same pure function
-// the coordinator derived it from — and scores only the datasets it holds
-// from that group, so no two replicas can both claim a dataset in one
-// merge. The cache key carries the topology generation, the replication
-// factor and the owner tuple: a membership change re-derives groups, and
-// stale group partials become unreachable rather than wrong.
-func (s *Server) partialGroupSearch(ctx context.Context, ids []string, req *shard.SearchRequest) ([]byte, string, error) {
-	st := s.shardState()
-	key := groupSearchKey(req, ids)
-	wireCost := func(v any) int64 { return int64(len(v.([]byte))) + 64 }
-	v, disp, err := s.cachedDoRetry(ctx, &s.statShard, key, wireCost, func() (any, error) {
-		subset := []int{} // non-nil: an empty intersection is a valid empty partial
-		for _, gi := range shard.GroupIndexes(s.cfg.ShardDatasetIDs, req.Shards, req.Replication, req.Owners) {
-			if li, ok := st.local[gi]; ok {
-				subset = append(subset, li)
+// partialSearch computes (or serves cached) this shard's partial for a
+// canonical query, with dataset indexes remapped to the global compendium
+// order at compute time, so cached partials are already global. Without
+// Owners it scores every held dataset; with them it is scoped to one
+// ownership group of a replicated fleet (DESIGN.md §5): the shard
+// recomputes the group from the request's (shards, replication, owners) —
+// the same pure function the coordinator derived it from — and scores only
+// the datasets it holds from that group, so no two replicas can both claim
+// a dataset in one merge.
+func (s *Server) partialSearch(ctx context.Context, ids []string, req *shard.SearchRequest) ([]byte, string, error) {
+	return s.cachedPartial(ctx, groupSearchKey(req, ids), func() (any, error) {
+		st := s.shardState()
+		var subset []int // nil: every held dataset
+		if len(req.Owners) > 0 {
+			subset = []int{} // non-nil: an empty intersection is a valid empty partial
+			for _, gi := range shard.GroupIndexes(s.cfg.ShardDatasetIDs, req.Shards, req.Replication, req.Owners) {
+				if li, ok := st.local[gi]; ok {
+					subset = append(subset, li)
+				}
 			}
 		}
-		p, perr := st.engine.PartialSearchSubsetCtx(ctx, ids, subset, spell.Options{Parallelism: s.cfg.SearchParallelism})
-		if perr != nil {
-			return nil, perr
+		p, err := st.engine.PartialSearchSubsetCtx(ctx, ids, subset, spell.Options{Parallelism: s.cfg.SearchParallelism})
+		if err != nil {
+			return nil, err
 		}
 		for i := range p.Datasets {
 			p.Datasets[i].Index = st.indexes[p.Datasets[i].Index]
 		}
-		var buf bytes.Buffer
-		if eerr := gob.NewEncoder(&buf).Encode(p); eerr != nil {
-			return nil, fmt.Errorf("%w: %v", errPartialEncode, eerr)
-		}
-		return buf.Bytes(), nil
-	}, nil, nil)
-	if err != nil {
-		return nil, "", err
-	}
-	return v.([]byte), disp, nil
+		return p, nil
+	})
 }
 
 // handleShardInfo serves GET /api/shard/v1/info: this shard's slice (size,
@@ -215,26 +198,7 @@ func (s *Server) handleShardEnrich(w http.ResponseWriter, r *http.Request) {
 	}
 	s.warm.touch(shard.CapabilityEnrich, sel)
 	body, disp, err := s.partialEnrich(r.Context(), sel, &req)
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		if r.Context().Err() != nil {
-			w.WriteHeader(statusClientClosedRequest)
-			return
-		}
-		s.writeJSONError(w, http.StatusServiceUnavailable, codeInterrupted, "partial enrichment repeatedly interrupted, retry later")
-		return
-	}
-	if errors.Is(err, errPartialEncode) {
-		s.encodeFailures.Add(1)
-		s.writeJSONError(w, http.StatusInternalServerError, codeEncodeFailed, err.Error())
-		return
-	}
-	if err != nil {
-		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, err.Error())
-		return
-	}
-	w.Header().Set(cacheHeader, disp)
-	w.Header().Set("Content-Type", shard.ContentType)
-	_, _ = w.Write(body)
+	s.writePartial(w, r, body, disp, err, "partial enrichment")
 }
 
 // groupEnrichKey is the cache key of one background slice's tallies, kept
@@ -266,27 +230,13 @@ func (s *Server) enrichSlice(req *shard.EnrichRequest) (gi, slices int) {
 // and owner tuple: after a membership change the group list re-derives and
 // stale slice tallies become unreachable rather than wrong.
 func (s *Server) partialEnrich(ctx context.Context, sel []string, req *shard.EnrichRequest) ([]byte, string, error) {
-	key := groupEnrichKey(req, sel)
-	wireCost := func(v any) int64 { return int64(len(v.([]byte))) + 64 }
-	v, disp, err := s.cachedDoRetry(ctx, &s.statShard, key, wireCost, func() (any, error) {
+	return s.cachedPartial(ctx, groupEnrichKey(req, sel), func() (any, error) {
 		gi, slices := s.enrichSlice(req)
 		if gi < 0 {
 			return nil, fmt.Errorf("owner tuple %v is not an ownership group of this catalog", req.Owners)
 		}
-		p, perr := s.cfg.Enricher.PartialAnalyzeCtx(ctx, sel, gi, slices)
-		if perr != nil {
-			return nil, perr
-		}
-		var buf bytes.Buffer
-		if eerr := gob.NewEncoder(&buf).Encode(p); eerr != nil {
-			return nil, fmt.Errorf("%w: %v", errPartialEncode, eerr)
-		}
-		return buf.Bytes(), nil
-	}, nil, nil)
-	if err != nil {
-		return nil, "", err
-	}
-	return v.([]byte), disp, nil
+		return s.cfg.Enricher.PartialAnalyzeCtx(ctx, sel, gi, slices)
+	})
 }
 
 // handleShardEnrichCatalog serves GET /api/shard/v1/enrich/catalog: the
@@ -313,25 +263,27 @@ type scatterValue struct {
 
 func scatterCost(v any) int64 { return searchCost(v.(*scatterValue).res) + 64 }
 
+// degraded implements degradable: a merge missing a shard is never cached.
+func (sv *scatterValue) degraded() bool { return sv.meta.Degraded }
+
 // scatterSearch is searchWith's coordinator branch: scatter over the
 // shard backends, merge with global renormalization, and cache the merged
 // result keyed by canonical query + shard-set generation — a coordinator
 // restarted against a different topology can never replay merges of the
 // old one. Degraded merges (a shard missing) are served but never cached:
 // cached, they would keep answering for the survivor subset long after
-// the shard recovered. Coalescing still holds — concurrent identical
-// queries scatter once — and a flight that died of its leader's hangup is
-// retried under our live context, like every other compute path.
+// the shard recovered (scatterValue is degradable). Coalescing still holds
+// — concurrent identical queries scatter once.
 func (s *Server) scatterSearch(ctx context.Context, ep *endpointStats, ids []string, opt spell.Options) (*spell.Result, *shard.Meta, string, error) {
 	key := fmt.Sprintf("scatter\x1f%016x\x1f%d\x1f%t\x1f%t\x1f%s",
 		s.cfg.Scatter.Generation(), opt.MaxGenes, opt.IncludeQuery, opt.UniformWeights, joinIDs(ids))
-	v, disp, err := s.cachedDoRetry(ctx, ep, key, scatterCost, func() (any, error) {
+	v, disp, err := s.cachedDo(ctx, ep, key, scatterCost, func() (any, error) {
 		res, meta, serr := s.cfg.Scatter.SearchCtx(ctx, ids, opt)
 		if serr != nil {
 			return nil, serr
 		}
 		return &scatterValue{res: res, meta: meta}, nil
-	}, func(v any) bool { return !v.(*scatterValue).meta.Degraded }, nil)
+	})
 	if err != nil {
 		return nil, nil, disp, err
 	}
@@ -371,13 +323,13 @@ func (s *Server) scatterEnrich(ctx context.Context, genes []string, opt golem.Op
 	sel := spell.CanonicalQuery(genes)
 	key := fmt.Sprintf("escatter\x1f%016x\x1f%d\x1f%g\x1f%s",
 		s.cfg.Scatter.Generation(), opt.MinSelected, opt.MaxPValue, joinIDs(sel))
-	v, disp, err := s.cachedDoRetry(ctx, &s.statEnrich, key, enrichScatterCost, func() (any, error) {
+	v, disp, err := s.cachedDo(ctx, &s.statEnrich, key, enrichScatterCost, func() (any, error) {
 		res, meta, serr := s.cfg.Scatter.EnrichCtx(ctx, sel, opt)
 		if serr != nil {
 			return nil, serr
 		}
 		return &enrichScatterValue{res: res, meta: meta}, nil
-	}, nil, nil)
+	})
 	if err != nil {
 		return nil, nil, disp, err
 	}

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"context"
-	"errors"
 	"sync/atomic"
 	"time"
 
@@ -19,6 +17,7 @@ type endpointStats struct {
 	cacheMisses atomic.Int64
 	coalesced   atomic.Int64 // requests that joined another's in-flight compute
 	computed    atomic.Int64 // underlying computations actually executed
+	retries     atomic.Int64 // leader handovers (flightGroup.Do re-attempts)
 	rejected    atomic.Int64 // shed by the render pool (503)
 	latencyUS   atomic.Int64 // summed request latency, microseconds
 	maxUS       atomic.Int64 // worst observed request latency, microseconds
@@ -81,7 +80,6 @@ type enrichKernelStats struct {
 	analyses  atomic.Int64 // kernel executions
 	canceled  atomic.Int64 // ended by client disconnect (context error)
 	failures  atomic.Int64 // other analysis errors (bad selections)
-	retries   atomic.Int64 // re-entries after a flight died of its leader's hangup
 	analyzeUS atomic.Int64 // summed kernel latency, microseconds
 	maxUS     atomic.Int64 // worst observed kernel latency, microseconds
 }
@@ -91,7 +89,7 @@ func (e *enrichKernelStats) observe(d time.Duration, err error) {
 	e.analyses.Add(1)
 	switch {
 	case err == nil:
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	case isContextErr(err):
 		e.canceled.Add(1)
 	default:
 		e.failures.Add(1)
@@ -120,10 +118,10 @@ type EnrichCacheInfo struct {
 	Analyses   int64 `json:"analyses"`
 	Canceled   int64 `json:"canceled"`
 	Failures   int64 `json:"failures"`
-	// Retries counts re-entries into the cache path after a joined flight
-	// died of its leader's disconnect; each one re-counts a miss (and
-	// possibly an analysis) for the same request, so under leader-cancel
-	// churn compare Analyses against Misses - Retries.
+	// Retries counts leader handovers on the enrich key space: re-attempts
+	// of a request whose flight died of another client's disconnect. A
+	// request that retried counts one miss but may have led more than one
+	// analysis, so under leader-cancel churn Analyses can exceed Misses.
 	Retries       int64 `json:"retries"`
 	MeanAnalyzeUS int64 `json:"mean_analyze_us"`
 	MaxAnalyzeUS  int64 `json:"max_analyze_us"`

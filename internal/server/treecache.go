@@ -19,15 +19,18 @@ import (
 // reason concurrent tiles of a cold dataset recluster once per dataset, not
 // once per request:
 //
-//   - builds are singleflight-coalesced per pane: one leader runs the
-//     clustering kernel with its request context, followers wait on the
-//     flight. If the leader's client hangs up mid-build (the kernel polls
-//     ctx), a live follower retries as the new leader rather than failing.
+//   - builds are coalesced per pane through the cache's flightGroup, keyed
+//     by pane index and generation: one leader runs the clustering kernel
+//     with its request context, followers wait on the flight or their own
+//     context. If the leader's client hangs up mid-build (the kernel polls
+//     ctx), a live follower retries as the new leader rather than failing
+//     — the flight group's handover rule, shared with every cached path.
 //   - entries are invalidated by dataset identity: ReplaceDataset bumps the
-//     pane's generation, detaches any in-flight build (its result is served
-//     to the waiters that asked for the old data, but never installed), and
-//     the next request builds the new dataset's tree. Generations ride into
-//     the tile cache keys, so stale PNG tiles can never be served against a
+//     pane's generation, which detaches any in-flight build (new requests
+//     key a new flight; the old build's result is served to the waiters
+//     that asked for the old data, but never installed), and the next
+//     request builds the new dataset's tree. Generations ride into the
+//     tile cache keys, so stale PNG tiles can never be served against a
 //     replaced dataset.
 //   - trees live outside the byte-budgeted LRU: a burst of hot tiles must
 //     not evict the dendrograms they are rendered from.
@@ -37,6 +40,7 @@ type treeCache struct {
 	mu      sync.Mutex
 	entries []*treeEntry
 	opt     core.ClusterOptions
+	flights flightGroup
 
 	builds        atomic.Int64 // kernel builds that completed
 	hits          atomic.Int64 // requests served an already-built tree
@@ -48,18 +52,9 @@ type treeCache struct {
 
 // treeEntry is one pane slot.
 type treeEntry struct {
-	gen    uint64                 // bumped by ReplaceDataset; part of tile keys
-	raw    *microarray.Dataset    // build source; nil for purely pre-clustered panes
-	built  *core.ClusteredDataset // ready tree, nil until built (or after invalidation)
-	flight *treeFlight
-}
-
-// treeFlight is one in-progress build; followers wait on done.
-type treeFlight struct {
-	done chan struct{}
-	gen  uint64
-	cd   *core.ClusteredDataset
-	err  error
+	gen   uint64                 // bumped by ReplaceDataset; part of tile and flight keys
+	raw   *microarray.Dataset    // build source; nil for purely pre-clustered panes
+	built *core.ClusteredDataset // ready tree, nil until built (or after invalidation)
 }
 
 func newTreeCache(opt core.ClusterOptions) *treeCache {
@@ -89,78 +84,67 @@ func (tc *treeCache) addEmpty() int {
 var errNoPane = errors.New("server: pane has no dataset")
 
 // get returns the pane's clustered tree and its generation, building it on
-// first touch. ctx cancellation unblocks the caller immediately; a leader
-// whose build dies of its own cancellation hands the flight over to any
-// live follower.
+// first touch. ctx cancellation unblocks a waiting caller immediately; a
+// build that dies of its leader's cancellation is taken over by a live
+// follower.
 func (tc *treeCache) get(ctx context.Context, idx int) (*core.ClusteredDataset, uint64, error) {
-	for {
-		tc.mu.Lock()
-		if idx < 0 || idx >= len(tc.entries) {
-			tc.mu.Unlock()
-			return nil, 0, fmt.Errorf("server: pane %d out of range", idx)
-		}
-		e := tc.entries[idx]
-		if e.built != nil {
-			cd, gen := e.built, e.gen
-			tc.mu.Unlock()
-			tc.hits.Add(1)
-			return cd, gen, nil
-		}
-		if e.raw == nil {
-			tc.mu.Unlock()
-			return nil, 0, errNoPane
-		}
-		if f := e.flight; f != nil {
-			tc.mu.Unlock()
-			tc.coalesced.Add(1)
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, 0, ctx.Err()
-			}
-			if f.err == nil {
-				return f.cd, f.gen, nil
-			}
-			if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
-				// The leader's client hung up mid-build. If we are still
-				// live, loop and become the new leader.
-				if ctx.Err() != nil {
-					return nil, 0, ctx.Err()
-				}
-				continue
-			}
-			return nil, 0, f.err
-		}
-		// Become the leader.
-		f := &treeFlight{done: make(chan struct{}), gen: e.gen}
-		e.flight = f
-		raw := e.raw
+	tc.mu.Lock()
+	if idx < 0 || idx >= len(tc.entries) {
 		tc.mu.Unlock()
-
-		t0 := time.Now()
-		cd, err := core.ClusterCtx(ctx, raw, tc.opt)
-		f.cd, f.err = cd, err
-
-		tc.mu.Lock()
-		if e.flight == f {
-			e.flight = nil
-			if err == nil && e.gen == f.gen {
-				// Install unless ReplaceDataset swapped the pane mid-build;
-				// waiters still get the tree of the dataset they asked for.
-				e.built = cd
-			}
-		}
-		tc.mu.Unlock()
-		switch {
-		case err == nil:
-			tc.builds.Add(1)
-			tc.buildNS.Add(time.Since(t0).Nanoseconds())
-		case !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
-			tc.failures.Add(1)
-		}
-		close(f.done)
-		return cd, f.gen, err
+		return nil, 0, fmt.Errorf("server: pane %d out of range", idx)
 	}
+	e := tc.entries[idx]
+	cd, gen, raw := e.built, e.gen, e.raw
+	tc.mu.Unlock()
+	if cd != nil {
+		tc.hits.Add(1)
+		return cd, gen, nil
+	}
+	if raw == nil {
+		return nil, 0, errNoPane
+	}
+	v, joined, _, err := tc.flights.Do(ctx, fmt.Sprintf("tree\x1f%d\x1f%d", idx, gen), func() (any, error) {
+		return tc.build(ctx, e, gen, raw)
+	})
+	if joined {
+		tc.coalesced.Add(1)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	return v.(*core.ClusteredDataset), gen, nil
+}
+
+// build is one tree flight: re-check for a tree a just-finished flight
+// installed, else cluster raw and install the tree unless ReplaceDataset
+// moved the pane past gen mid-build (the waiters still get the tree of the
+// dataset they asked for).
+func (tc *treeCache) build(ctx context.Context, e *treeEntry, gen uint64, raw *microarray.Dataset) (*core.ClusteredDataset, error) {
+	tc.mu.Lock()
+	cd := e.built
+	if e.gen != gen {
+		cd = nil
+	}
+	tc.mu.Unlock()
+	if cd != nil {
+		tc.hits.Add(1)
+		return cd, nil
+	}
+	t0 := time.Now()
+	cd, err := core.ClusterCtx(ctx, raw, tc.opt)
+	switch {
+	case err == nil:
+		tc.builds.Add(1)
+		tc.buildNS.Add(time.Since(t0).Nanoseconds())
+		tc.mu.Lock()
+		if e.gen == gen {
+			e.built = cd
+		}
+		tc.mu.Unlock()
+	case !isContextErr(err):
+		tc.failures.Add(1)
+	}
+	return cd, err
 }
 
 // generation returns the pane's current generation without forcing a
@@ -200,15 +184,15 @@ func (tc *treeCache) resolvable(idx int) bool {
 }
 
 // replace swaps the pane's dataset: the generation bumps, the cached tree
-// drops, and any in-flight build is detached so its result is never
-// installed over the new data.
+// drops, and any in-flight build is detached (it runs under the old
+// generation's flight key) so its result is never installed over the new
+// data.
 func (tc *treeCache) replace(idx int, ds *microarray.Dataset) {
 	tc.mu.Lock()
 	e := tc.entries[idx]
 	e.gen++
 	e.raw = ds
 	e.built = nil
-	e.flight = nil
 	tc.mu.Unlock()
 	tc.invalidations.Add(1)
 }

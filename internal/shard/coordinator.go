@@ -303,15 +303,18 @@ func (c *Coordinator) breakerAllow(shard string, lastResort bool) (ok, probe boo
 }
 
 // breakerObserve feeds an attempt outcome to the replica's breaker.
-// Cancellation is neutral: a hedge loser or caller hangup says nothing
-// about the shard's health, so it neither trips nor closes anything (a
-// canceled probe only releases the probe slot).
+// Cancellation and "unsupported" are neutral: a hedge loser or caller
+// hangup says nothing about the shard's health, and neither does a healthy
+// shard without an ontology answering 404 on the enrich path, so they
+// neither trip nor close anything (a neutral probe only releases the probe
+// slot). Otherwise a dark shard's enrich traffic would open the breaker its
+// search traffic shares.
 func (c *Coordinator) breakerObserve(shard string, err error, probe bool) {
 	if c.cfg.BreakerThreshold <= 0 {
 		return
 	}
 	b := &c.counterFor(shard).breaker
-	if err != nil && errors.Is(err, context.Canceled) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, errEnrichUnsupported) {
 		if probe {
 			b.clearProbe()
 		}

@@ -224,6 +224,40 @@ func TestEnrichScatterOntologyLessShard(t *testing.T) {
 	}
 }
 
+// TestEnrichDarkShardKeepsBreakerClosed: a shard without an ontology
+// answers the enrich path with 404 ("unsupported"). That says nothing
+// about its health, so a stream of enrichments at the default breaker
+// threshold must leave its breaker closed — the breaker its search traffic
+// shares — with nothing tripped and no search attempt skipped.
+func TestEnrichDarkShardKeepsBreakerClosed(t *testing.T) {
+	f := newScatterFixtureR(t, 3, 2)
+	sel := f.withEnrichers(t, 17)
+	f.shards[1].enr = nil // start() will not register the enrich endpoints
+	c, _ := f.start(t, Config{Replication: 2})
+	for i := 0; i < 30; i++ {
+		if _, _, err := c.EnrichCtx(context.Background(), sel, golem.Options{}); err != nil {
+			t.Fatalf("enrich %d: %v", i, err)
+		}
+	}
+	if _, _, err := c.SearchCtx(context.Background(), f.query, spell.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, s := range c.Stats().Shards {
+		if s.Addr != f.identities[1] {
+			continue
+		}
+		found = true
+		if s.Breaker != "closed" || s.BreakerTrips != 0 || s.BreakerSkips != 0 {
+			t.Fatalf("dark shard's breaker: %s, trips %d, skips %d; want closed, 0, 0",
+				s.Breaker, s.BreakerTrips, s.BreakerSkips)
+		}
+	}
+	if !found {
+		t.Fatalf("no stats for %s", f.identities[1])
+	}
+}
+
 // TestEnrichScatterDegraded pins that fleet enrichment cannot degrade: the
 // single whole-background request fails over across every live shard, so
 // with all capable shards but one refusing — one with a 500, one with a
