@@ -113,70 +113,6 @@ func TestReadTreeSkipsBlankLines(t *testing.T) {
 	}
 }
 
-func TestKMeansTwoGroups(t *testing.T) {
-	rows := twoBlobs()
-	rng := rand.New(rand.NewSource(5))
-	res, err := KMeans(rows, 2, 5, 50, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Assign[0] != res.Assign[1] || res.Assign[1] != res.Assign[2] {
-		t.Fatalf("rising group split: %v", res.Assign)
-	}
-	if res.Assign[3] != res.Assign[4] || res.Assign[4] != res.Assign[5] {
-		t.Fatalf("falling group split: %v", res.Assign)
-	}
-	if res.Assign[0] == res.Assign[3] {
-		t.Fatalf("groups merged: %v", res.Assign)
-	}
-	if res.Inertia < 0 {
-		t.Fatalf("negative inertia: %v", res.Inertia)
-	}
-}
-
-func TestKMeansErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := KMeans(nil, 2, 1, 10, rng); err == nil {
-		t.Fatal("empty rows should error")
-	}
-	rows := twoBlobs()
-	if _, err := KMeans(rows, 0, 1, 10, rng); err == nil {
-		t.Fatal("k=0 should error")
-	}
-	if _, err := KMeans(rows, 7, 1, 10, rng); err == nil {
-		t.Fatal("k>n should error")
-	}
-}
-
-func TestKMeansHandlesMissing(t *testing.T) {
-	rows := twoBlobs()
-	rows[0][1] = math.NaN()
-	rows[4][2] = math.NaN()
-	rng := rand.New(rand.NewSource(9))
-	res, err := KMeans(rows, 2, 5, 50, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range res.Centroids {
-		for _, v := range c {
-			if math.IsNaN(v) {
-				t.Fatal("centroids must not contain NaN")
-			}
-		}
-	}
-}
-
-func TestKMeansDeterministicWithSeed(t *testing.T) {
-	rows := twoBlobs()
-	a, _ := KMeans(rows, 2, 3, 50, rand.New(rand.NewSource(77)))
-	b, _ := KMeans(rows, 2, 3, 50, rand.New(rand.NewSource(77)))
-	for i := range a.Assign {
-		if a.Assign[i] != b.Assign[i] {
-			t.Fatal("same seed must give same clustering")
-		}
-	}
-}
-
 func TestSilhouette(t *testing.T) {
 	rows := twoBlobs()
 	good := []int{0, 0, 0, 1, 1, 1}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -226,7 +227,7 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 				if math.IsNaN(cw) || cw < 0 {
 					cw = 0
 				}
-				scoreInto(e.slabs[di], infos[di].rows, infos[di].allFast, cw, acc)
+				scoreInto(e.slabs[di], infos[di], cw, acc)
 			}
 			accs[w] = acc
 		}(w)
@@ -434,15 +435,16 @@ func Merge(parts []Partial, opt Options) (*Result, error) {
 		}
 		res.Genes = append(res.Genes, GeneRank{ID: id, Name: mg.name, Score: score, IsQuery: isQ})
 	}
-	sort.Slice(res.Genes, func(a, b int) bool {
-		if res.Genes[a].Score != res.Genes[b].Score {
-			return res.Genes[a].Score > res.Genes[b].Score
-		}
-		return res.Genes[a].ID < res.Genes[b].ID
+	ranked := topK(res.Genes, opt.MaxGenes, func(a, b GeneRank) bool {
+		return a.Score > b.Score || a.Score == b.Score && a.ID < b.ID
 	})
-	if opt.MaxGenes > 0 && len(res.Genes) > opt.MaxGenes {
-		res.Genes = res.Genes[:opt.MaxGenes]
+	if len(ranked) < len(res.Genes) {
+		// Copy the cut out: the coordinator caches merged results at the
+		// size of the ranking it returns, and the backing array of every
+		// scored gene would stay alive behind it.
+		ranked = slices.Clone(ranked)
 	}
+	res.Genes = ranked
 	return res, nil
 }
 

@@ -8,23 +8,26 @@ import (
 // slab is one dataset of the compendium in scoring-ready form. Instead of a
 // [][]float64 of z-rows plus a map from gene ID to row, a slab keeps:
 //
-//   - z: every z-scored row back to back in one contiguous []float64
-//     (row r occupies z[r*nExp : (r+1)*nExp]), so a search streams through
-//     the dataset with no pointer chasing;
-//   - unit: the centered, unit-Euclidean-norm form of each complete row in
-//     a parallel slab. For two rows with unit forms, Pearson correlation is
-//     exactly a dot product — the kernel's fast path;
-//   - fast: the per-row mask saying whether the unit form exists (the row
-//     is complete, non-constant, and has ≥2 experiments). Rows that fail
-//     the mask fall back to the NaN-pairwise stats.Pearson on z;
+//   - rows: one stored form per row, back to back in one contiguous
+//     []float64 (row r occupies rows[r*nExp : (r+1)*nExp]), so a search
+//     streams through the dataset with no pointer chasing and each
+//     (gene, experiment) cell costs one float64;
+//   - fast: the per-row mask saying which form row r holds. A fast row
+//     (complete, non-constant, ≥2 experiments) holds its centered,
+//     unit-Euclidean-norm form: for two fast rows, Pearson correlation is
+//     exactly a dot product — the kernel's fast path. Every other row holds
+//     its z-scores (NaN where missing) for the NaN-pairwise stats.Pearson;
+//   - ds: the raw dataset the slab was built from. A pair with a slow row
+//     correlates z-scores with z-scores, so zrow rebuilds a fast row's
+//     z-scores from ds on demand rather than storing them twice;
 //   - gids/rowOf: both directions of the global integer gene index, so the
 //     scoring loops never touch a string or a map.
 type slab struct {
 	nExp  int
+	ds    *microarray.Dataset
 	gids  []int32 // row -> global gene index
 	rowOf []int32 // global gene index -> row in this dataset, -1 if absent
-	z     []float64
-	unit  []float64
+	rows  []float64
 	fast  []bool
 }
 
@@ -34,34 +37,63 @@ func buildSlab(ds *microarray.Dataset, gid map[string]int, numGenes int) *slab {
 	nG, nE := ds.NumGenes(), ds.NumExperiments()
 	s := &slab{
 		nExp:  nE,
+		ds:    ds,
 		gids:  make([]int32, nG),
 		rowOf: make([]int32, numGenes),
-		z:     make([]float64, nG*nE),
-		unit:  make([]float64, nG*nE),
+		rows:  make([]float64, nG*nE),
 		fast:  make([]bool, nG),
 	}
 	for i := range s.rowOf {
 		s.rowOf[i] = -1
 	}
+	unit := make([]float64, nE) // scratch: the unit form, kept only when it exists
 	for g := 0; g < nG; g++ {
 		gi := gid[ds.Genes[g].ID]
 		s.gids[g] = int32(gi)
 		s.rowOf[gi] = int32(g)
-		zr := s.z[g*nE : (g+1)*nE]
+		zr := s.row(int32(g))
 		stats.ZScoresInto(zr, ds.Row(g))
-		s.fast[g] = stats.CenterUnitNormInto(s.unit[g*nE:(g+1)*nE], zr)
+		if stats.CenterUnitNormInto(unit, zr) {
+			s.fast[g] = true
+			copy(zr, unit)
+		}
 	}
 	return s
 }
 
-// zrow returns the z-scored row r (may contain NaN for missing values).
-func (s *slab) zrow(r int32) []float64 {
-	return s.z[int(r)*s.nExp : (int(r)+1)*s.nExp]
+// row returns the stored form of row r: its centered unit-norm form when
+// fast[r], its z-scores (may contain NaN) otherwise.
+func (s *slab) row(r int32) []float64 {
+	return s.rows[int(r)*s.nExp : (int(r)+1)*s.nExp]
 }
 
-// unitRow returns the centered unit-norm row r; only valid when fast[r].
-func (s *slab) unitRow(r int32) []float64 {
-	return s.unit[int(r)*s.nExp : (int(r)+1)*s.nExp]
+// zrow returns the z-scores of row r: the stored form of a slow row; for a
+// fast row, its z-scores rebuilt from the raw dataset into buf (allocated
+// when nil) by the same stats.ZScoresInto call buildSlab made, so they are
+// bit-identical to the z row the slab did not keep. A pair with one fast
+// row thus computes exactly the Pearson statistic of two z rows. Feeding
+// the unit form to stats.Pearson instead would agree only up to rounding,
+// and on a pair whose shared cells are nearly constant that rounding is
+// amplified far past the kernel's 1e-12 parity with ReferenceSearch.
+func (s *slab) zrow(r int32, buf []float64) []float64 {
+	if !s.fast[r] {
+		return s.row(r)
+	}
+	if buf == nil {
+		buf = make([]float64, s.nExp)
+	}
+	stats.ZScoresInto(buf, s.ds.Row(int(r)))
+	return buf
+}
+
+// queryZ returns the z-scores of each query row (see zrow), made once per
+// search and dataset so the per-gene loops never rebuild them.
+func (s *slab) queryZ(qrows []int32) [][]float64 {
+	zs := make([][]float64, len(qrows))
+	for i, r := range qrows {
+		zs[i] = s.zrow(r, nil)
+	}
+	return zs
 }
 
 // queryRows returns the rows of this dataset measuring the given global
