@@ -227,7 +227,7 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 				if math.IsNaN(cw) || cw < 0 {
 					cw = 0
 				}
-				scoreInto(e.slabs[di], infos[di], cw, acc)
+				scoreInto(e.slabs[di], infos[di].rows, infos[di].allFast, cw, acc)
 			}
 			accs[w] = acc
 		}(w)

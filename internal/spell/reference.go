@@ -185,21 +185,10 @@ func (e *Engine) referenceQueryRows(di int, qgids []int) [][]float64 {
 	var rows [][]float64
 	for _, gi := range qgids {
 		if r := sl.rowOf[gi]; r >= 0 {
-			rows = append(rows, e.referenceZRow(di, int(r)))
+			rows = append(rows, sl.zrow(r))
 		}
 	}
 	return rows
-}
-
-// referenceZRow z-scores row g of dataset di from the engine's own copy of
-// the raw dataset. The slab keeps a complete row only in its unit form, so
-// the reference recomputes every z row — the same stats.ZScoresInto call
-// the slab builder makes — and stays independent of the kernel's storage.
-func (e *Engine) referenceZRow(di, g int) []float64 {
-	raw := e.datasets[di].Row(g)
-	z := make([]float64, len(raw))
-	stats.ZScoresInto(z, raw)
-	return z
 }
 
 // referenceCoherence is the mean Fisher-z pairwise Pearson correlation of
@@ -232,11 +221,11 @@ func (e *Engine) referenceScoreDataset(di int, qgids []int) map[string]float64 {
 	if len(qrows) == 0 {
 		return nil
 	}
+	sl := e.slabs[di]
 	ds := e.datasets[di]
-	out := make(map[string]float64, ds.NumGenes())
-	row := make([]float64, ds.NumExperiments())
-	for g := range ds.Genes {
-		stats.ZScoresInto(row, ds.Row(g))
+	out := make(map[string]float64, len(sl.fast))
+	for g := range sl.fast {
+		row := sl.zrow(int32(g))
 		s, n := 0.0, 0
 		for _, qr := range qrows {
 			r := stats.Pearson(row, qr)

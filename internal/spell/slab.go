@@ -1,6 +1,8 @@
 package spell
 
 import (
+	"math"
+
 	"forestview/internal/microarray"
 	"forestview/internal/stats"
 )
@@ -8,27 +10,29 @@ import (
 // slab is one dataset of the compendium in scoring-ready form. Instead of a
 // [][]float64 of z-rows plus a map from gene ID to row, a slab keeps:
 //
-//   - rows: one stored form per row, back to back in one contiguous
-//     []float64 (row r occupies rows[r*nExp : (r+1)*nExp]), so a search
-//     streams through the dataset with no pointer chasing and each
+//   - z: every row's z-scores (NaN where missing), back to back in one
+//     contiguous []float64 (row r occupies z[r*nExp : (r+1)*nExp]), so a
+//     search streams through the dataset with no pointer chasing and each
 //     (gene, experiment) cell costs one float64;
-//   - fast: the per-row mask saying which form row r holds. A fast row
-//     (complete, non-constant, ≥2 experiments) holds its centered,
-//     unit-Euclidean-norm form: for two fast rows, Pearson correlation is
-//     exactly a dot product — the kernel's fast path. Every other row holds
-//     its z-scores (NaN where missing) for the NaN-pairwise stats.Pearson;
-//   - ds: the raw dataset the slab was built from. A pair with a slow row
-//     correlates z-scores with z-scores, so zrow rebuilds a fast row's
-//     z-scores from ds on demand rather than storing them twice;
+//   - fast: the per-row mask of complete, non-constant rows with ≥2
+//     experiments. A pair with a slow row runs the NaN-pairwise
+//     stats.Pearson on the two z rows, exactly as the reference scorer;
+//   - mean/inv: for a fast row, the mean of its z row and the inverse norm
+//     of the centered z row — two numbers that make its centered unit form
+//     (z − mean)·inv implicit. For two fast rows Pearson correlation is the
+//     dot product of their unit forms, which unitDot reads off one dot
+//     product of the z rows, so the kernel's fast path needs no second copy
+//     of any cell;
 //   - gids/rowOf: both directions of the global integer gene index, so the
 //     scoring loops never touch a string or a map.
 type slab struct {
 	nExp  int
-	ds    *microarray.Dataset
 	gids  []int32 // row -> global gene index
 	rowOf []int32 // global gene index -> row in this dataset, -1 if absent
-	rows  []float64
+	z     []float64
 	fast  []bool
+	mean  []float64 // row -> mean of the z row (fast rows only)
+	inv   []float64 // row -> 1/‖z row − mean‖ (fast rows only)
 }
 
 // buildSlab prepares ds against the engine's global gene index. numGenes is
@@ -37,63 +41,65 @@ func buildSlab(ds *microarray.Dataset, gid map[string]int, numGenes int) *slab {
 	nG, nE := ds.NumGenes(), ds.NumExperiments()
 	s := &slab{
 		nExp:  nE,
-		ds:    ds,
 		gids:  make([]int32, nG),
 		rowOf: make([]int32, numGenes),
-		rows:  make([]float64, nG*nE),
+		z:     make([]float64, nG*nE),
 		fast:  make([]bool, nG),
+		mean:  make([]float64, nG),
+		inv:   make([]float64, nG),
 	}
 	for i := range s.rowOf {
 		s.rowOf[i] = -1
 	}
-	unit := make([]float64, nE) // scratch: the unit form, kept only when it exists
 	for g := 0; g < nG; g++ {
 		gi := gid[ds.Genes[g].ID]
 		s.gids[g] = int32(gi)
 		s.rowOf[gi] = int32(g)
-		zr := s.row(int32(g))
+		zr := s.zrow(int32(g))
 		stats.ZScoresInto(zr, ds.Row(g))
-		if stats.CenterUnitNormInto(unit, zr) {
-			s.fast[g] = true
-			copy(zr, unit)
-		}
+		s.mean[g], s.inv[g], s.fast[g] = centerNorm(zr)
 	}
 	return s
 }
 
-// row returns the stored form of row r: its centered unit-norm form when
-// fast[r], its z-scores (may contain NaN) otherwise.
-func (s *slab) row(r int32) []float64 {
-	return s.rows[int(r)*s.nExp : (int(r)+1)*s.nExp]
+// centerNorm returns the mean of xs and the inverse Euclidean norm of
+// xs − mean, the two numbers stats.CenterUnitNormInto scales a row to its
+// centered unit form with; ok is false, as there, when xs has a missing
+// value, fewer than two entries, or zero spread.
+func centerNorm(xs []float64) (mean, inv float64, ok bool) {
+	if len(xs) < 2 {
+		return 0, 0, false
+	}
+	sum := 0.0
+	for _, v := range xs {
+		if math.IsNaN(v) {
+			return 0, 0, false
+		}
+		sum += v
+	}
+	mean = sum / float64(len(xs))
+	ss := 0.0
+	for _, v := range xs {
+		d := v - mean
+		ss += d * d
+	}
+	if ss == 0 {
+		return 0, 0, false
+	}
+	return mean, 1 / math.Sqrt(ss), true
 }
 
-// zrow returns the z-scores of row r: the stored form of a slow row; for a
-// fast row, its z-scores rebuilt from the raw dataset into buf (allocated
-// when nil) by the same stats.ZScoresInto call buildSlab made, so they are
-// bit-identical to the z row the slab did not keep. A pair with one fast
-// row thus computes exactly the Pearson statistic of two z rows. Feeding
-// the unit form to stats.Pearson instead would agree only up to rounding,
-// and on a pair whose shared cells are nearly constant that rounding is
-// amplified far past the kernel's 1e-12 parity with ReferenceSearch.
-func (s *slab) zrow(r int32, buf []float64) []float64 {
-	if !s.fast[r] {
-		return s.row(r)
-	}
-	if buf == nil {
-		buf = make([]float64, s.nExp)
-	}
-	stats.ZScoresInto(buf, s.ds.Row(int(r)))
-	return buf
+// zrow returns the z-scored row r (may contain NaN for missing values).
+func (s *slab) zrow(r int32) []float64 {
+	return s.z[int(r)*s.nExp : (int(r)+1)*s.nExp]
 }
 
-// queryZ returns the z-scores of each query row (see zrow), made once per
-// search and dataset so the per-gene loops never rebuild them.
-func (s *slab) queryZ(qrows []int32) [][]float64 {
-	zs := make([][]float64, len(qrows))
-	for i, r := range qrows {
-		zs[i] = s.zrow(r, nil)
-	}
-	return zs
+// unitDot is the dot product of the centered unit forms of fast rows a and
+// b — their Pearson correlation — from one dot product of the z rows:
+// Σ(za−ma)(zb−mb) = Σ za·zb − n·ma·mb.
+func (s *slab) unitDot(a, b int32) float64 {
+	n := float64(s.nExp)
+	return (stats.Dot(s.zrow(a), s.zrow(b)) - n*s.mean[a]*s.mean[b]) * s.inv[a] * s.inv[b]
 }
 
 // queryRows returns the rows of this dataset measuring the given global

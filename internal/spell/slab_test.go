@@ -12,11 +12,11 @@ import (
 )
 
 // TestSlabStoresOneFloatPerCell pins the slab's footprint: across every
-// []float64 the slab holds, exactly one float64 per (gene, experiment)
-// cell, and each row's stored form is the one its fast bit names — the
-// centered unit-norm form of its z row when fast, the z row itself
-// otherwise. A second per-cell array (a parallel z or unit slab) fails the
-// count.
+// []float64 the slab holds, exactly one float64 per (gene, experiment) cell
+// plus two per row (a fast row's mean and inverse norm). A second per-cell
+// array, such as a stored unit form beside the z rows, fails the count.
+// The stored row must be the z-scores, the fast bit must match
+// stats.CenterUnitNormInto, and (z − mean)·inv must be that unit form.
 func TestSlabStoresOneFloatPerCell(t *testing.T) {
 	u := synth.NewUniverse(180, 6, 5)
 	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
@@ -30,7 +30,7 @@ func TestSlabStoresOneFloatPerCell(t *testing.T) {
 	var sawFast, sawSlow bool
 	for di, sl := range e.slabs {
 		ds := dss[di]
-		cells := ds.NumGenes() * ds.NumExperiments()
+		want := ds.NumGenes()*ds.NumExperiments() + 2*ds.NumGenes()
 		floats := 0
 		v := reflect.ValueOf(sl).Elem()
 		for i := 0; i < v.NumField(); i++ {
@@ -38,39 +38,44 @@ func TestSlabStoresOneFloatPerCell(t *testing.T) {
 				floats += f.Cap()
 			}
 		}
-		if floats != cells {
-			t.Fatalf("dataset %d: slab holds %d float64s for %d cells", di, floats, cells)
+		if floats != want {
+			t.Fatalf("dataset %d: slab holds %d float64s, want %d (cells + 2 per row)", di, floats, want)
 		}
 		z := make([]float64, ds.NumExperiments())
 		unit := make([]float64, ds.NumExperiments())
 		for g := 0; g < ds.NumGenes(); g++ {
 			stats.ZScoresInto(z, ds.Row(g))
-			want := z
-			if fast := stats.CenterUnitNormInto(unit, z); fast != sl.fast[g] {
-				t.Fatalf("dataset %d row %d: fast = %v, want %v", di, g, sl.fast[g], fast)
-			} else if fast {
-				want = unit
-				sawFast = true
-			} else {
-				sawSlow = true
+			for i, got := range sl.zrow(int32(g)) {
+				if got != z[i] && !(math.IsNaN(got) && math.IsNaN(z[i])) {
+					t.Fatalf("dataset %d row %d cell %d: stored %v, want z-score %v", di, g, i, got, z[i])
+				}
 			}
-			for i, got := range sl.row(int32(g)) {
-				if got != want[i] && !(math.IsNaN(got) && math.IsNaN(want[i])) {
-					t.Fatalf("dataset %d row %d cell %d: stored %v, want %v", di, g, i, got, want[i])
+			fast := stats.CenterUnitNormInto(unit, z)
+			if fast != sl.fast[g] {
+				t.Fatalf("dataset %d row %d: fast = %v, want %v", di, g, sl.fast[g], fast)
+			}
+			if !fast {
+				sawSlow = true
+				continue
+			}
+			sawFast = true
+			for i, zv := range z {
+				if d := math.Abs((zv-sl.mean[g])*sl.inv[g] - unit[i]); d > 1e-15 {
+					t.Fatalf("dataset %d row %d cell %d: implicit unit form off by %g", di, g, i, d)
 				}
 			}
 		}
 	}
 	if !sawFast || !sawSlow {
-		t.Fatalf("fixture must hold both row forms (fast %v, slow %v)", sawFast, sawSlow)
+		t.Fatalf("fixture must hold both row kinds (fast %v, slow %v)", sawFast, sawSlow)
 	}
 }
 
-// TestPairCorrMatchesZPearson: every pair with a slow row must compute
-// exactly the NaN-pairwise Pearson of the two rows' z-scores — bit for bit,
-// with a fast row's z-scores rebuilt by zrow — and fast×fast pairs (the dot
-// product of the stored unit forms) must agree with it to 1e-12.
-func TestPairCorrMatchesZPearson(t *testing.T) {
+// TestRowCorrMatchesZPearson: every pair with a slow row must compute
+// exactly the NaN-pairwise Pearson of the two rows' z-scores — bit for
+// bit — and a fast×fast pair (the unit-form dot product) must agree with it
+// to 1e-12.
+func TestRowCorrMatchesZPearson(t *testing.T) {
 	u := synth.NewUniverse(120, 4, 8)
 	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
 		NumDatasets: 2, MinExperiments: 5, MaxExperiments: 12,
@@ -84,10 +89,10 @@ func TestPairCorrMatchesZPearson(t *testing.T) {
 	for di, sl := range e.slabs {
 		n := len(sl.fast)
 		for a := 0; a < n; a++ {
-			za := e.referenceZRow(di, a)
+			za := stats.ZScores(dss[di].Row(a))
 			for b := a + 1; b < n && b < a+25; b++ {
-				want := stats.Pearson(za, e.referenceZRow(di, b))
-				got := pairCorr(sl, int32(a), int32(b), sl.zrow(int32(a), nil), sl.zrow(int32(b), nil))
+				want := stats.Pearson(za, stats.ZScores(dss[di].Row(b)))
+				got := rowCorr(sl, int32(a), int32(b))
 				if sl.fast[a] && sl.fast[b] {
 					if math.Abs(got-want) > 1e-12 {
 						t.Fatalf("dataset %d fast rows %d,%d: dot %v, z Pearson %v", di, a, b, got, want)
@@ -113,8 +118,9 @@ func TestPairCorrMatchesZPearson(t *testing.T) {
 // constant over the cells an incomplete row measures. Their correlation
 // hangs on the last bits of the shared cells, so computing it from the
 // complete row's unit form instead of its z-scores moves it far past 1e-12
-// (the fixture checks that it still does). Search must still match
-// ReferenceSearch to 1e-12, in coherence and in every gene score.
+// (the fixture checks that it still does) — the reason a slab keeps z rows
+// and only an implicit unit form. Search must match ReferenceSearch to
+// 1e-12, in coherence and in every gene score.
 func TestSearchIllConditionedMixedPair(t *testing.T) {
 	nan := math.NaN()
 	ds := &microarray.Dataset{Name: "ill", Experiments: make([]string, 5)}
@@ -137,8 +143,9 @@ func TestSearchIllConditionedMixedPair(t *testing.T) {
 	if !sl.fast[0] || sl.fast[1] {
 		t.Fatalf("fixture rows must be fast and slow: %v", sl.fast)
 	}
-	z0, z1 := e.referenceZRow(0, 0), e.referenceZRow(0, 1)
-	if d := math.Abs(stats.Pearson(sl.row(0), z1) - stats.Pearson(z0, z1)); d <= 1e-12 {
+	z0, z1 := sl.zrow(0), sl.zrow(1)
+	unit0, _ := stats.CenterUnitNorm(z0)
+	if d := math.Abs(stats.Pearson(unit0, z1) - stats.Pearson(z0, z1)); d <= 1e-12 {
 		t.Fatalf("fixture no longer ill-conditioned: unit-form Pearson within %g of z Pearson", d)
 	}
 	for _, query := range [][]string{{"G0", "G1"}, {"G1", "G2"}, {"G1", "G4"}, {"G0", "G3"}} {

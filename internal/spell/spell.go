@@ -129,8 +129,7 @@ func NewEngine(dss []*microarray.Dataset) (*Engine, error) {
 		slabs:    make([]*slab, len(dss)),
 	}
 	// Pass 1: the global gene index, in stable first-seen order. Rows must
-	// be rectangular: a slab row and the z-scores zrow rebuilds from the
-	// raw dataset both span exactly NumExperiments cells.
+	// be rectangular: every slab row spans exactly NumExperiments cells.
 	for _, ds := range dss {
 		for g := 0; g < ds.NumGenes(); g++ {
 			if n := len(ds.Row(g)); n != ds.NumExperiments() {
@@ -211,9 +210,8 @@ func CanonicalQuery(ids []string) []string {
 
 // dsInfo is the stage-1 result for one dataset.
 type dsInfo struct {
-	rows      []int32     // dataset rows measuring query genes
-	zs        [][]float64 // z-scores of each query row (slab.queryZ); nil when allFast
-	allFast   bool        // every query row has a unit form
+	rows      []int32 // dataset rows measuring query genes
+	allFast   bool    // every query row is fast
 	coherence float64
 }
 
@@ -254,11 +252,7 @@ func (e *Engine) queryInfosSubset(ctx context.Context, qgids []int, par int, sub
 				}
 				sl := e.slabs[di]
 				rows, allFast := sl.queryRows(qgids)
-				var zs [][]float64 // only pairs with a slow row read z-scores
-				if !allFast {
-					zs = sl.queryZ(rows)
-				}
-				infos[di] = dsInfo{rows: rows, zs: zs, allFast: allFast, coherence: coherence(sl, rows, zs)}
+				infos[di] = dsInfo{rows: rows, allFast: allFast, coherence: coherence(sl, rows)}
 			}
 		}()
 	}
@@ -368,7 +362,7 @@ func (e *Engine) Search(query []string, opt Options) (*Result, error) {
 				if acc == nil {
 					acc = newAccum(len(e.order))
 				}
-				scoreInto(e.slabs[di], infos[di], weights[di], acc)
+				scoreInto(e.slabs[di], infos[di].rows, infos[di].allFast, weights[di], acc)
 			}
 			accs[w] = acc
 		}(w)
@@ -425,20 +419,15 @@ func (e *Engine) Search(query []string, opt Options) (*Result, error) {
 
 // coherence is the mean Fisher-z-transformed pairwise Pearson correlation
 // among the query rows — SPELL's dataset informativeness signal. NaN when
-// fewer than two query genes are present. zs holds the rows' z-scores
-// (nil when every row is fast).
-func coherence(sl *slab, qrows []int32, zs [][]float64) float64 {
+// fewer than two query genes are present.
+func coherence(sl *slab, qrows []int32) float64 {
 	if len(qrows) < 2 {
 		return math.NaN()
 	}
 	s, n := 0.0, 0
 	for i := 0; i < len(qrows); i++ {
 		for j := i + 1; j < len(qrows); j++ {
-			var za, zb []float64
-			if zs != nil {
-				za, zb = zs[i], zs[j]
-			}
-			r := pairCorr(sl, qrows[i], qrows[j], za, zb)
+			r := rowCorr(sl, qrows[i], qrows[j])
 			if math.IsNaN(r) {
 				continue
 			}
@@ -452,15 +441,14 @@ func coherence(sl *slab, qrows []int32, zs [][]float64) float64 {
 	return s / float64(n)
 }
 
-// pairCorr is the Pearson correlation of slab rows a and b, whose z-scores
-// are za and zb: a single dot product of the stored unit forms when both
-// rows are fast (za and zb are then not read), the NaN-pairwise statistic
-// on the z-scores otherwise.
-func pairCorr(sl *slab, a, b int32, za, zb []float64) float64 {
+// rowCorr is the Pearson correlation of two slab rows: one dot product
+// when both rows are fast, the NaN-pairwise statistic on the z rows
+// otherwise.
+func rowCorr(sl *slab, a, b int32) float64 {
 	if sl.fast[a] && sl.fast[b] {
-		return stats.Clamp(stats.Dot(sl.row(a), sl.row(b)), -1, 1)
+		return stats.Clamp(sl.unitDot(a, b), -1, 1)
 	}
-	return stats.Pearson(za, zb)
+	return stats.Pearson(sl.zrow(a), sl.zrow(b))
 }
 
 // scoreAdder is the accumulator contract of the stage-2 scoring loops: the
@@ -472,24 +460,30 @@ type scoreAdder interface {
 }
 
 // scoreInto accumulates dataset sl's contribution (at weight w) to every
-// gene's score: each gene row's mean correlation to the query rows q.rows.
+// gene's score: each gene row's mean correlation to the query rows.
 //
-// When every query row has a unit form, the query rows are pre-summed once:
-// for a gene row g with a unit form, mean_q Pearson(g, q) =
-// Dot(unit_g, Σ_q unit_q) / nq — one dot product per gene instead of one
-// per (gene, query) pair. Rows without unit forms take the per-pair path.
-func scoreInto[A scoreAdder](sl *slab, q dsInfo, w float64, acc A) {
-	nq := len(q.rows)
+// When every query row is fast, their centered unit forms u_q are pre-summed
+// once into qsum: for a fast gene row g, mean_q Pearson(g, q) =
+// Σ_i u_g,i·qsum_i / nq, and with u_g = (z_g − mean_g)·inv_g that is
+// (Dot(z_g, qsum) − mean_g·Σ_i qsum_i)·inv_g / nq — one dot product per gene
+// instead of one per (gene, query) pair. Other rows take the per-pair path.
+func scoreInto[A scoreAdder](sl *slab, qrows []int32, allFast bool, w float64, acc A) {
+	nq := len(qrows)
 	if nq == 0 {
 		return
 	}
 	nE := sl.nExp
-	if q.allFast && nE > 0 {
+	if allFast && nE > 0 {
 		qsum := make([]float64, nE)
-		for _, r := range q.rows {
-			for i, v := range sl.row(r) {
-				qsum[i] += v
+		for _, r := range qrows {
+			m, inv := sl.mean[r], sl.inv[r]
+			for i, v := range sl.zrow(r) {
+				qsum[i] += (v - m) * inv
 			}
+		}
+		total := 0.0
+		for _, v := range qsum {
+			total += v
 		}
 		inv := 1 / float64(nq)
 		for g := range sl.fast {
@@ -503,38 +497,29 @@ func scoreInto[A scoreAdder](sl *slab, q dsInfo, w float64, acc A) {
 				continue
 			}
 			if sl.fast[g] {
-				s := stats.Dot(sl.rows[g*nE:(g+1)*nE], qsum)
+				s := (stats.Dot(sl.z[g*nE:(g+1)*nE], qsum) - sl.mean[g]*total) * sl.inv[g]
 				acc.add(gi, w, s*inv)
-				continue
+			} else {
+				scoreRowSlow(sl, int32(g), qrows, w, acc)
 			}
-			if q.zs == nil {
-				q.zs = sl.queryZ(q.rows)
-			}
-			scoreRowSlow(sl, int32(g), q, nil, w, acc) // g is slow: no z-scores to rebuild
 		}
 		return
 	}
-	buf := make([]float64, nE) // a fast gene row's z-scores (slab.zrow)
 	for g := range sl.fast {
 		if sl.rowOf[sl.gids[g]] != int32(g) {
 			continue // duplicate gene ID: last row wins, as above
 		}
-		scoreRowSlow(sl, int32(g), q, buf, w, acc)
+		scoreRowSlow(sl, int32(g), qrows, w, acc)
 	}
 }
 
 // scoreRowSlow scores one gene row against the query rows pair by pair,
 // skipping undefined correlations; the row scores only when at least one
-// pair is defined. A fast gene row's z-scores are rebuilt into buf on the
-// first pair that needs them.
-func scoreRowSlow[A scoreAdder](sl *slab, g int32, q dsInfo, buf []float64, w float64, acc A) {
+// pair is defined.
+func scoreRowSlow[A scoreAdder](sl *slab, g int32, qrows []int32, w float64, acc A) {
 	s, n := 0.0, 0
-	var zg []float64
-	for i, qr := range q.rows {
-		if zg == nil && !(sl.fast[g] && sl.fast[qr]) {
-			zg = sl.zrow(g, buf)
-		}
-		r := pairCorr(sl, g, qr, zg, q.zs[i])
+	for _, qr := range qrows {
+		r := rowCorr(sl, g, qr)
 		if math.IsNaN(r) {
 			continue
 		}

@@ -111,17 +111,38 @@ func UnitNormInto(dst, xs []float64) bool {
 // ZScoresInto is ZScores writing into a caller-provided slice (len(dst)
 // must be at least len(xs)), so bulk preprocessing can fill one contiguous
 // slab without a per-row allocation.
+//
+// Every row of every SPELL slab passes through it at engine build, so it
+// computes the mean once and StdDev's sum of squares inline — the same
+// operations in the same order, hence the same bits as Mean and StdDev —
+// and leaves the per-cell branch out of the common case.
 func ZScoresInto(dst, xs []float64) {
 	m := Mean(xs)
-	sd := StdDev(xs)
-	for i, v := range xs {
-		switch {
-		case math.IsNaN(v):
-			dst[i] = math.NaN()
-		case math.IsNaN(sd) || sd == 0:
-			dst[i] = 0
-		default:
-			dst[i] = (v - m) / sd
+	sd := math.NaN()
+	if !math.IsNaN(m) {
+		ss, n := 0.0, 0
+		for _, v := range xs {
+			if !math.IsNaN(v) {
+				d := v - m
+				ss += d * d
+				n++
+			}
 		}
+		if n >= 2 {
+			sd = math.Sqrt(ss / float64(n-1))
+		}
+	}
+	if math.IsNaN(sd) || sd == 0 {
+		for i, v := range xs {
+			if math.IsNaN(v) {
+				dst[i] = math.NaN()
+			} else {
+				dst[i] = 0
+			}
+		}
+		return
+	}
+	for i, v := range xs {
+		dst[i] = (v - m) / sd // a missing v stays NaN
 	}
 }

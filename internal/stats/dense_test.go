@@ -140,3 +140,43 @@ func TestUnitNormInto(t *testing.T) {
 		}
 	}
 }
+
+// TestZScoresIntoMatchesMeanStdDev: the fused ZScoresInto must reproduce
+// the plain definition — (v - Mean) / StdDev, 0 for a constant or
+// undefined spread, NaN where missing — bit for bit, on random rows with
+// missing cells, infinities, huge values and constants.
+func TestZScoresIntoMatchesMeanStdDev(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e308, -1e308, 0.1, 0}
+	for trial := 0; trial < 2000; trial++ {
+		xs := make([]float64, rng.Intn(12))
+		c := rng.NormFloat64()
+		for i := range xs {
+			switch r := rng.Float64(); {
+			case r < 0.15:
+				xs[i] = specials[rng.Intn(len(specials))]
+			case trial%5 == 0:
+				xs[i] = c // constant rows
+			default:
+				xs[i] = rng.NormFloat64() * 3
+			}
+		}
+		m, sd := Mean(xs), StdDev(xs)
+		got := make([]float64, len(xs))
+		ZScoresInto(got, xs)
+		for i, v := range xs {
+			var want float64
+			switch {
+			case math.IsNaN(v):
+				want = math.NaN()
+			case math.IsNaN(sd) || sd == 0:
+				want = 0
+			default:
+				want = (v - m) / sd
+			}
+			if got[i] != want && !(math.IsNaN(got[i]) && math.IsNaN(want)) {
+				t.Fatalf("row %v cell %d: %v, want %v", xs, i, got[i], want)
+			}
+		}
+	}
+}
